@@ -62,7 +62,7 @@ class GroundSpec:
             if kind == "rosenlicht" and len(parts) == 3:
                 return GroundSpec("rosenlicht", denom=int(parts[1]),
                                   precision=Fraction(parts[2]))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad ground {text!r}: {exc}") from exc
         raise ParseError(
             f"bad ground {text!r}; expected padic:p:N, series:field:d:N, "
@@ -102,7 +102,7 @@ class GroundSpec:
                 return a
             try:
                 return TruncatedPAdic.from_rational(self.p, Fraction(text), n)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad p-adic literal {text!r}") from exc
         fld = self.coeff_field()
         trunc = self.precision + widen
@@ -110,7 +110,7 @@ class GroundSpec:
             return parse_series(text, fld, self.denom)
         try:
             const = Fraction(text)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad series literal {text!r}") from exc
         return TruncatedSeries(fld, self.denom, {Fraction(0): const}, trunc)
 

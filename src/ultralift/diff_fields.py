@@ -30,12 +30,8 @@ from .lifting import clip_accuracy, newton_drive
 from .operators import OperatorFamily, OperatorPoly, solve_dominant, solve_rosenlicht, solve_wcm
 from .polynomials import MultiPoly
 from .series import (RationalField, TowerField, TruncatedSeries, WeakCoeffMap,
-                     random_series)
+                     _frac, _series, random_series)
 from .values import Ball, Value, _as_value
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +267,14 @@ def integrate(inst: RosenlichtInstance, a_prime: TruncatedSeries,
         if a_prime.trunc < need:
             raise PrecisionLossError(
                 f"integrand known only to O(t^{a_prime.trunc}) < requested {need}")
-    for e, _ in a_prime.terms:
-        if e == -1:
-            raise NoAsymptoticIntegral(
-                "integrand contains the exponent -1; no primitive on the grid",
-                exponent="-1")
-    return TruncatedSeries(a_prime.field, a_prime.denom,
-                           [(e + 1, c / (e + 1)) for e, c in a_prime.terms],
-                           a_prime.trunc + 1)
+    d = a_prime.denom
+    if -d in a_prime.idx:
+        raise NoAsymptoticIntegral(
+            "integrand contains the exponent -1; no primitive on the grid",
+            exponent="-1")
+    return _series(a_prime.field, d, [k + d for k in a_prime.idx],
+                   [c / Fraction(k + d, d) for k, c in zip(a_prime.idx, a_prime.coeffs)],
+                   a_prime.ntrunc + d)
 
 
 def integrate_iterative(inst: RosenlichtInstance, a_prime: TruncatedSeries,

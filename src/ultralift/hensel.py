@@ -328,7 +328,7 @@ def series_invert(coeffs: Sequence, z_prime, precision) -> tuple:
             acc = acc + power * field.coerce(c)
         return acc
 
-    c1_inv = _coeff_inverse(field, c1)
+    c1_inv = field.inverse(c1)
     start = z_prime.zero_like()
     ball = Ball(start, Value(0), strict=True)
     root, cert = newton_drive(
@@ -341,10 +341,3 @@ def series_invert(coeffs: Sequence, z_prime, precision) -> tuple:
     )
     return _clip(root, precision), cert
 
-
-def _coeff_inverse(field, c):
-    from fractions import Fraction
-
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    return c.inverse()

@@ -50,8 +50,8 @@ class OperatorFamily:
         for _ in range(samples):
             a = self.sampler(rng)
             out.append(a)
-            if isinstance(a, TruncatedSeries) and a.terms:
-                e, c = a.terms[0]
+            if isinstance(a, TruncatedSeries) and not a.is_zero_mod_precision():
+                e, c = a.leading()
                 out.append(TruncatedSeries(a.field, a.denom, {e: c}, a.trunc))
         # cancelling sums: pairs whose difference drops the leading term
         for i in range(0, len(out) - 1, 2):

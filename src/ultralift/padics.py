@@ -54,9 +54,6 @@ class TruncatedPAdic:
     def precision_cap(self) -> Value:
         return Value(Fraction(self.precision))
 
-    def grid_step(self) -> Fraction:
-        return Fraction(1)
-
     def digits(self) -> tuple:
         out = []
         r = self.residue

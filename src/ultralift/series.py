@@ -1,15 +1,38 @@
 """Truncated power series over pluggable coefficient fields.
 
-A series holds finitely many (exponent, coefficient) pairs on the grid
-(1/d)Z below a truncation order N; terms at or beyond N are unknown.
-Every operation propagates the tightest truncation order that is fully
-determined by its inputs, so valuations read off stored data are never
-silently wrong.
+A series lives on the grid (1/denom)Z and stores its known terms as two
+parallel tuples: ``idx``, the strictly increasing integer grid indices,
+and ``coeffs``, the nonzero canonical coefficients; entry i is the term
+coeffs[i] * t^(idx[i]/denom).  ``ntrunc`` is the truncation order as a
+grid index: terms at or beyond t^(ntrunc/denom) are unknown.  Every
+inner loop therefore does integer arithmetic on exponents, and bringing
+two series onto a common grid (the lcm of their denominators) is a
+rescale of their indices.  The layout stays sparse: Frobenius powers and
+monomials leave long runs of empty grid slots between stored terms.
+
+Coefficient arithmetic sits behind the field tags.  Each tag has a
+product kernel, ``_mul``, which convolves two sorted term lists below a
+truncation index, a scalar kernel ``_scale`` and an ``inverse``.  Over Q
+the product kernel multiplies integer numerators over one common
+denominator per operand and normalises each output coefficient once;
+over the F_p tower it uses element arithmetic.  Addition merges the two
+sorted term lists, and division runs the long-division recurrence over
+grid indices.  Kernel results are built by ``_series``, which trusts its
+input and skips the coercion, sorting and zero filtering the public
+constructor applies to outside data.
+
+``terms`` and ``trunc`` present the same data as (Fraction exponent,
+coefficient) pairs and a Fraction order.  Every operation propagates the
+tightest truncation order that is fully determined by its inputs, so
+valuations read off stored data are never silently wrong.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -43,6 +66,28 @@ class RationalField:
     def is_zero(self, c) -> bool:
         return c == 0
 
+    def inverse(self, c):
+        return 1 / Fraction(c)
+
+    def _scale(self, cs, c):
+        """The coefficients cs times the nonzero scalar c."""
+        if c == 1:
+            return cs
+        if c == -1:
+            return [-x for x in cs]
+        return [x * c for x in cs]
+
+    def _mul(self, ka, ca, kb, cb, n):
+        """Product of two sorted term lists below grid index n: integer
+        numerators over one common denominator per operand, each output
+        coefficient normalised once."""
+        da, na = _numerators(ca)
+        db, nb = _numerators(cb)
+        acc = _convolve(ka, na, kb, nb, n)
+        d = da * db
+        ks = [k for k in sorted(acc) if acc[k]]
+        return ks, [Fraction(acc[k], d) for k in ks]
+
     def show(self, c) -> str:
         return str(Fraction(c))
 
@@ -63,6 +108,28 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
+
+
+def _numerators(cs):
+    """(d, numerators) with cs[i] == numerators[i] / d."""
+    d = math.lcm(*[c.denominator for c in cs])
+    return d, [c.numerator * (d // c.denominator) for c in cs]
+
+
+def _convolve(ka, xa, kb, xb, n) -> dict:
+    """{k: sum of xa[i] * xb[j] over ka[i] + kb[j] = k} for k below n; the
+    index lists are sorted, so each row stops at the first index past n."""
+    pb = list(zip(kb, xb))
+    acc = {}
+    for k1, x1 in zip(ka, xa):
+        m = bisect_left(kb, n - k1)
+        if not m:
+            break
+        for k2, x2 in pb[:m]:
+            k = k1 + k2
+            prev = acc.get(k)
+            acc[k] = x1 * x2 if prev is None else prev + x1 * x2
+    return acc
 
 
 class TowerField:
@@ -101,6 +168,20 @@ class TowerField:
     def is_zero(self, c) -> bool:
         return self.coerce(c).is_zero()
 
+    def inverse(self, c):
+        return self.coerce(c).inverse()
+
+    def _scale(self, cs, c):
+        """The coefficients cs times the nonzero scalar c."""
+        return [x * c for x in cs]
+
+    def _mul(self, ka, ca, kb, cb, n):
+        """Product of two sorted term lists below grid index n, by element
+        arithmetic; sums that cancel are dropped."""
+        acc = _convolve(ka, ca, kb, cb, n)
+        ks = [k for k in sorted(acc) if not acc[k].is_zero()]
+        return ks, [acc[k] for k in ks]
+
     def show(self, c) -> str:
         c = self.coerce(c)
         body = ",".join(str(d) for d in c.coeffs)
@@ -114,6 +195,8 @@ class TowerField:
             p, lvl = int(m.group(2)), int(m.group(3))
             if p != self.p:
                 raise ParseError(f"coefficient is over p={p}, ground over p={self.p}")
+            if lvl < 1:
+                raise ParseError(f"tower level must be at least 1 in {text!r}")
             return self.tower.elem(lvl, digits)
         try:
             return self.tower.from_int(int(text))
@@ -150,10 +233,25 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_set = object.__setattr__
+
+
+def _series(field, denom, idx, coeffs, ntrunc) -> "TruncatedSeries":
+    """A series from kernel output: indices sorted and below ntrunc,
+    coefficients canonical and nonzero.  Nothing is checked."""
+    s = object.__new__(TruncatedSeries)
+    _set(s, "field", field)
+    _set(s, "denom", denom)
+    _set(s, "idx", tuple(idx))
+    _set(s, "coeffs", tuple(coeffs))
+    _set(s, "ntrunc", ntrunc)
+    return s
+
+
 class TruncatedSeries:
     """Finitely supported exponent -> coefficient map below a truncation order."""
 
-    __slots__ = ("field", "denom", "terms", "trunc")
+    __slots__ = ("field", "denom", "idx", "coeffs", "ntrunc")
 
     def __init__(self, field: FieldTag, denom: int,
                  terms: Union[Mapping, Iterable[Tuple]], trunc):
@@ -164,20 +262,24 @@ class TruncatedSeries:
         acc = {}
         for e, c in items:
             e = _frac(e)
-            if (e * denom).denominator != 1:
+            k, r = divmod(e.numerator * denom, e.denominator)
+            if r:
                 raise UsageError(f"exponent {e} is not on the grid (1/{denom})Z")
             c = field.coerce(c)
-            if e in acc:
-                c = acc[e] + c
-            acc[e] = c
-        clean = tuple(sorted(
-            (e, c) for e, c in acc.items()
-            if e < trunc and not field.is_zero(c)
-        ))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc", trunc)
+            if k in acc:
+                c = acc[k] + c
+            acc[k] = c
+        # an order off the grid refines the grid (stored exponents stay put)
+        scale = trunc.denominator // math.gcd(denom, trunc.denominator)
+        denom *= scale
+        ntrunc = trunc.numerator * denom // trunc.denominator
+        idx = [k * scale for k in sorted(acc) if k * scale < ntrunc
+               and not field.is_zero(acc[k])]
+        _set(self, "field", field)
+        _set(self, "denom", denom)
+        _set(self, "idx", tuple(idx))
+        _set(self, "coeffs", tuple(acc[k // scale] for k in idx))
+        _set(self, "ntrunc", ntrunc)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncatedSeries is immutable")
@@ -188,56 +290,57 @@ class TruncatedSeries:
     def zero(field: FieldTag, denom: int, trunc) -> "TruncatedSeries":
         return TruncatedSeries(field, denom, {}, trunc)
 
-    @staticmethod
-    def monomial(field: FieldTag, denom: int, exp, coeff=1, trunc=None) -> "TruncatedSeries":
-        exp = _frac(exp)
-        if trunc is None:
-            raise UsageError("monomial needs an explicit truncation order")
-        return TruncatedSeries(field, denom, {exp: coeff}, trunc)
-
     def zero_like(self) -> "TruncatedSeries":
-        return TruncatedSeries.zero(self.field, self.denom, self.trunc)
+        return _series(self.field, self.denom, (), (), self.ntrunc)
 
     def one_like(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.field, self.denom, {Fraction(0): self.field.one}, self.trunc)
+        return self._constant(self.field.one)
 
     def from_int(self, n: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.field, self.denom, {Fraction(0): n}, self.trunc)
+        return self._constant(self.field.coerce(n))
+
+    def _constant(self, c) -> "TruncatedSeries":
+        if self.ntrunc <= 0 or self.field.is_zero(c):
+            return self.zero_like()
+        return _series(self.field, self.denom, (0,), (c,), self.ntrunc)
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def terms(self) -> tuple:
+        """The stored terms as (Fraction exponent, coefficient) pairs."""
+        d = self.denom
+        return tuple((Fraction(k, d), c) for k, c in zip(self.idx, self.coeffs))
+
+    @property
+    def trunc(self) -> Fraction:
+        return Fraction(self.ntrunc, self.denom)
+
     def is_zero_mod_precision(self) -> bool:
-        return not self.terms
+        return not self.idx
 
     def value(self) -> Value:
         """Least stored exponent; the truncation order when no term is
         stored (read: the valuation is at least this)."""
-        if self.terms:
-            return Value(self.terms[0][0])
-        return Value(self.trunc)
+        return Value(Fraction(self.idx[0] if self.idx else self.ntrunc, self.denom))
 
     def precision_cap(self) -> Value:
         return Value(self.trunc)
-
-    def grid_step(self) -> Fraction:
-        return Fraction(1, self.denom)
 
     def coeff_at(self, e) -> object:
         e = _frac(e)
         if e >= self.trunc:
             raise PrecisionLossError(f"coefficient at t^{e} is beyond O(t^{self.trunc})")
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return self.field.zero
-
-    def support(self):
-        return tuple(e for e, _ in self.terms)
+        k, r = divmod(e.numerator * self.denom, e.denominator)
+        i = bisect_left(self.idx, k)
+        if r or i == len(self.idx) or self.idx[i] != k:
+            return self.field.zero
+        return self.coeffs[i]
 
     def leading(self):
-        if not self.terms:
+        if not self.idx:
             raise PrecisionLossError("leading term of a series that vanishes modulo precision")
-        return self.terms[0]
+        return Fraction(self.idx[0], self.denom), self.coeffs[0]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -249,33 +352,61 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return other
         if self.field.owns(other) or isinstance(other, (int, Fraction)):
-            return TruncatedSeries(self.field, self.denom,
-                                   {Fraction(0): self.field.coerce(other)}, self.trunc)
+            return self._constant(self.field.coerce(other))
         return None
 
-    def __add__(self, other):
+    def _on_common_grid(self, other):
+        """(denom, self indices, self order, other indices, other order)
+        on the lcm of the two grids."""
+        if self.denom == other.denom:
+            return self.denom, self.idx, self.ntrunc, other.idx, other.ntrunc
+        d = math.lcm(self.denom, other.denom)
+        sa, sb = d // self.denom, d // other.denom
+        return (d, [k * sa for k in self.idx], self.ntrunc * sa,
+                [k * sb for k in other.idx], other.ntrunc * sb)
+
+    def _add(self, other, negate: bool):
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
         self._check_field(other)
-        denom = _lcm(self.denom, other.denom)
-        trunc = min(self.trunc, other.trunc)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc[e] + c if e in acc else c
-        return TruncatedSeries(self.field, denom, acc, trunc)
+        d, ka, na, kb, nb = self._on_common_grid(other)
+        n = min(na, nb)
+        field = self.field
+        ia, ib = bisect_left(ka, n), bisect_left(kb, n)
+        ca, cb = self.coeffs[:ia], other.coeffs[:ib]
+        if negate:
+            cb = [-c for c in cb]
+        ka, kb = ka[:ia], kb[:ib]
+        if not kb or (ka and ka[-1] < kb[0]):
+            return _series(field, d, [*ka, *kb], [*ca, *cb], n)
+        if not ka or kb[-1] < ka[0]:
+            return _series(field, d, [*kb, *ka], [*cb, *ca], n)
+        acc = dict(zip(ka, ca))
+        for k, c in zip(kb, cb):
+            prev = acc.get(k)
+            if prev is None:
+                acc[k] = c
+            else:
+                c = prev + c
+                if field.is_zero(c):
+                    del acc[k]
+                else:
+                    acc[k] = c
+        ks = sorted(acc)
+        return _series(field, d, ks, [acc[k] for k in ks], n)
+
+    def __add__(self, other):
+        return self._add(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.field, self.denom,
-                               [(e, -c) for e, c in self.terms], self.trunc)
+        return _series(self.field, self.denom, self.idx,
+                       [-c for c in self.coeffs], self.ntrunc)
 
     def __sub__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -286,26 +417,18 @@ class TruncatedSeries:
                 c = self.field.coerce(other)
                 if self.field.is_zero(c):
                     return self.zero_like()
-                return TruncatedSeries(self.field, self.denom,
-                                       [(e, cc * c) for e, cc in self.terms], self.trunc)
+                return _series(self.field, self.denom, self.idx,
+                               self.field._scale(self.coeffs, c), self.ntrunc)
             return NotImplemented
         self._check_field(other)
-        denom = _lcm(self.denom, other.denom)
-        bounds = [self.trunc + other.trunc]
-        if self.terms:
-            bounds.append(self.terms[0][0] + other.trunc)
-        if other.terms:
-            bounds.append(other.terms[0][0] + self.trunc)
-        trunc = min(bounds)
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if e >= trunc:
-                    continue
-                c = c1 * c2
-                acc[e] = acc[e] + c if e in acc else c
-        return TruncatedSeries(self.field, denom, acc, trunc)
+        d, ka, na, kb, nb = self._on_common_grid(other)
+        va = ka[0] if ka else na
+        vb = kb[0] if kb else nb
+        n = min(va + nb, vb + na)
+        if not ka or not kb or ka[0] + kb[0] >= n:
+            return _series(self.field, d, (), (), n)
+        ks, cs = self.field._mul(ka, self.coeffs, kb, other.coeffs, n)
+        return _series(self.field, d, ks, cs, n)
 
     __rmul__ = __mul__
 
@@ -327,60 +450,59 @@ class TruncatedSeries:
                 c = self.field.coerce(other)
                 if self.field.is_zero(c):
                     raise ZeroDivisionError("division by zero coefficient")
-                inv = Fraction(1, 1) / c if isinstance(c, Fraction) else c.inverse()
-                return self * inv
+                return self * self.field.inverse(c)
             return NotImplemented
         self._check_field(other)
         if other.is_zero_mod_precision():
             raise PrecisionLossError("division by a series that vanishes modulo precision")
-        vb, lead_b = other.terms[0]
-        va = self.terms[0][0] if self.terms else self.trunc
-        trunc = min(self.trunc - vb, va + other.trunc - 2 * vb)
-        denom = _lcm(self.denom, other.denom)
-        rem = self
-        q = {}
-        while rem.terms and rem.terms[0][0] - vb < trunc:
-            e_r, c_r = rem.terms[0]
-            qe = e_r - vb
-            qc = c_r / lead_b if isinstance(c_r, Fraction) else c_r * lead_b.inverse()
-            q[qe] = qc
-            piece = TruncatedSeries(self.field, denom, {qe: qc}, trunc)
-            rem = rem - piece * other
-        return TruncatedSeries(self.field, denom, q, trunc)
+        d, ka, na, kb, nb = self._on_common_grid(other)
+        vb = kb[0]
+        va = ka[0] if ka else na
+        n = min(na - vb, va + nb - 2 * vb)
+        ks, cs = _divide(self.field, ka, self.coeffs, kb, other.coeffs, n)
+        return _series(self.field, d, ks, cs, n)
 
     # -- structural maps ----------------------------------------------
 
     def shift(self, alpha) -> "TruncatedSeries":
         """Exact multiplication by the unit monomial t^alpha."""
         alpha = _frac(alpha)
-        return TruncatedSeries(self.field, self.denom,
-                               [(e + alpha, c) for e, c in self.terms],
-                               self.trunc + alpha)
+        s, r = divmod(alpha.numerator * self.denom, alpha.denominator)
+        if r:
+            return TruncatedSeries(self.field, self.denom,
+                                   [(e + alpha, c) for e, c in self.terms],
+                                   self.trunc + alpha)
+        return _series(self.field, self.denom, [k + s for k in self.idx],
+                       self.coeffs, self.ntrunc + s)
 
     def truncate(self, order) -> "TruncatedSeries":
         order = min(_frac(order), self.trunc)
-        return TruncatedSeries(self.field, self.denom, self.terms, order)
-
-    def widen(self, order) -> "TruncatedSeries":
-        """Reinterpret stored terms at a higher truncation order.
-
-        Only sound when the caller knows the element exactly (e.g. it was
-        built from exact text or integers)."""
-        order = _frac(order)
-        if order < self.trunc:
-            return self.truncate(order)
-        return TruncatedSeries(self.field, self.denom, self.terms, order)
+        if (order * self.denom).denominator != 1:
+            return TruncatedSeries(self.field, self.denom, self.terms, order)
+        n = int(order * self.denom)
+        i = bisect_left(self.idx, n)
+        return _series(self.field, self.denom, self.idx[:i], self.coeffs[:i], n)
 
     def map_coeffs(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(self.field, self.denom,
-                               [(e, fn(c)) for e, c in self.terms], self.trunc)
+        field = self.field
+        ks, cs = [], []
+        for k, c in zip(self.idx, self.coeffs):
+            c = field.coerce(fn(c))
+            if not field.is_zero(c):
+                ks.append(k)
+                cs.append(c)
+        return _series(field, self.denom, ks, cs, self.ntrunc)
 
     def differentiate(self) -> "TruncatedSeries":
         """Formal d/dt: t^g -> g * t^(g-1)."""
-        return TruncatedSeries(self.field, self.denom,
-                               [(e - 1, self.field.coerce(e) * c) for e, c in self.terms
-                                if not self.field.is_zero(self.field.coerce(e))],
-                               self.trunc - 1)
+        field, d = self.field, self.denom
+        ks, cs = [], []
+        for k, c in zip(self.idx, self.coeffs):
+            g = field.coerce(Fraction(k, d))
+            if not field.is_zero(g):
+                ks.append(k - d)
+                cs.append(g * c)
+        return _series(field, d, ks, cs, self.ntrunc - d)
 
     # -- comparison ---------------------------------------------------
 
@@ -389,11 +511,17 @@ class TruncatedSeries:
             other = self._coerce_operand(other)
             if other is None:
                 return NotImplemented
-        return (self.field == other.field and self.terms == other.terms
-                and self.trunc == other.trunc)
+        if self.field != other.field or len(self.idx) != len(other.idx):
+            return False
+        _, ka, na, kb, nb = self._on_common_grid(other)
+        return na == nb and ka == kb and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, self.terms, self.trunc))
+        # on the coarsest grid that holds every exponent, so equal series
+        # on different grids hash alike
+        g = math.gcd(self.denom, self.ntrunc, *self.idx)
+        return hash((self.field, self.denom // g, tuple(k // g for k in self.idx),
+                     self.coeffs, self.ntrunc // g))
 
     def __repr__(self):
         return f"TruncatedSeries({format_series(self)!r})"
@@ -402,10 +530,47 @@ class TruncatedSeries:
         return format_series(self)
 
 
-def _lcm(a: int, b: int) -> int:
-    import math
+def _divide(field, ka, ca, kb, cb, n):
+    """Quotient terms below index n of (ka, ca) by (kb, cb), by the
+    coefficient recurrence of long division.
 
-    return a * b // math.gcd(a, b)
+    ``rem`` holds the remainder coefficients at the quotient indices still
+    ahead; a partial sum that cancels is dropped, as long division drops a
+    vanished remainder term, so every coefficient comes out exactly as the
+    term-by-term subtraction would leave it."""
+    vb = kb[0]
+    inv = field.inverse(cb[0])
+    tail = [(k - vb, c) for k, c in zip(kb[1:], cb[1:])]
+    rem = {}
+    for k, c in zip(ka, ca):
+        if k - vb >= n:
+            break
+        rem[k - vb] = c
+    heap = list(rem)
+    ks, cs = [], []
+    while heap:
+        k = heapq.heappop(heap)
+        r = rem.pop(k, None)
+        if r is None:
+            continue
+        q = r * inv
+        ks.append(k)
+        cs.append(q)
+        for dk, c in tail:
+            e = k + dk
+            if e >= n:
+                break
+            prev = rem.get(e)
+            if prev is None:
+                rem[e] = -(q * c)
+                heapq.heappush(heap, e)
+            else:
+                s = prev - q * c
+                if field.is_zero(s):
+                    del rem[e]
+                else:
+                    rem[e] = s
+    return ks, cs
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +587,13 @@ _TERM_RE = re.compile(r"^(?P<coeff>.+?)\*t\^\((?P<exp>-?\d+(?:/\d+)?)\)$")
 _BIGO_RE = re.compile(r"^O\(t\^\((?P<ord>-?\d+(?:/\d+)?)\)\)$")
 
 
+def _parse_exponent(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in exponent {text!r}") from exc
+
+
 def parse_series(text: str, field: FieldTag, denom: int | None = None) -> TruncatedSeries:
     """Parse the ``format_series`` grammar; inverse of it bit for bit."""
     chunks = [c.strip() for c in text.split(" + ")]
@@ -434,19 +606,16 @@ def parse_series(text: str, field: FieldTag, denom: int | None = None) -> Trunca
         if m:
             if trunc is not None:
                 raise ParseError("two O(...) markers in one series")
-            trunc = Fraction(m.group("ord"))
+            trunc = _parse_exponent(m.group("ord"))
             continue
         m = _TERM_RE.match(chunk)
         if not m:
             raise ParseError(f"bad series term {chunk!r}")
-        terms.append((Fraction(m.group("exp")), field.parse(m.group("coeff"))))
+        terms.append((_parse_exponent(m.group("exp")), field.parse(m.group("coeff"))))
     if trunc is None:
         raise ParseError("series text lacks the O(t^(N)) marker")
     if denom is None:
-        denom = 1
-        for e, _ in terms:
-            denom = _lcm(denom, e.denominator)
-        denom = _lcm(denom, trunc.denominator)
+        denom = math.lcm(trunc.denominator, *[e.denominator for e, _ in terms])
     return TruncatedSeries(field, denom, terms, trunc)
 
 
@@ -484,9 +653,7 @@ class WeakCoeffMap:
     def co(self, a: TruncatedSeries):
         """co a: the residue of t^(-va) * a; zero when a vanishes modulo
         precision (flag via a.is_zero_mod_precision())."""
-        if a.is_zero_mod_precision():
-            return self.field.zero
-        return a.terms[0][1]
+        return weak_coeff(a)
 
     def lift(self, coeff_bar, alpha, trunc) -> TruncatedSeries:
         """(WCM4): an element with co = coeff_bar and value alpha."""
@@ -495,14 +662,10 @@ class WeakCoeffMap:
         return TruncatedSeries(self.field, self.prototype.denom,
                                {_frac(alpha): coeff_bar}, _frac(trunc))
 
-    def shift_down(self, a: TruncatedSeries, alpha) -> TruncatedSeries:
-        """Exact multiplication by m_{-alpha} = t^(-alpha)."""
-        return a.shift(-_frac(alpha))
-
 
 def weak_coeff(a: TruncatedSeries, with_flag: bool = False):
     """Leading coefficient of a series; 0 (with flag True) when the series
     vanishes modulo precision."""
     flagged = a.is_zero_mod_precision()
-    c = a.field.zero if flagged else a.terms[0][1]
+    c = a.field.zero if flagged else a.coeffs[0]
     return (c, flagged) if with_flag else c

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import PrecisionLossError, ResourceCapError, UsageError
-from .series import TowerField, TruncatedSeries
+from .series import TowerField, TruncatedSeries, _series
 from .values import Value
 
 
@@ -24,9 +24,8 @@ def frobenius_power(a: TruncatedSeries, p: int, j: int) -> TruncatedSeries:
     """a^(p^j) in characteristic p: exponents scale by p^j, coefficients
     pass through the j-fold Frobenius; exact on the scaled window."""
     q = p**j
-    return TruncatedSeries(a.field, a.denom,
-                           [(e * q, c ** q) for e, c in a.terms],
-                           a.trunc * q)
+    return _series(a.field, a.denom, [k * q for k in a.idx],
+                   [c ** q for c in a.coeffs], a.ntrunc * q)
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,12 @@ def _series_window_vector(a: TruncatedSeries, lo: int, hi: int) -> List[int]:
         raise PrecisionLossError(
             f"series known to O(t^{a.trunc}) cannot fill the window up to {hi}")
     vec = [0] * (hi - lo)
-    for e, c in a.terms:
+    for e, c in zip(a.idx, a.coeffs):
         if e < lo:
             raise UsageError(f"series has a term below the window: t^{e}")
         if e >= hi:
-            continue
-        vec[int(e) - lo] = _coeff_int(c)
+            break
+        vec[e - lo] = _coeff_int(c)
     return vec
 
 
@@ -168,6 +167,8 @@ def image_window(f: AdditivePoly, window: Tuple[int, int], *,
     lo, hi = window
     if hi <= lo:
         raise UsageError("empty window")
+    if any(c.denom != 1 for c in f.coeffs):
+        raise UsageError("windowed subgroups live on the integer grid")
     p = f.p
     J = len(f.coeffs) - 1
     vals = []
@@ -204,9 +205,9 @@ def image_window(f: AdditivePoly, window: Tuple[int, int], *,
             raise PrecisionLossError(
                 f"coefficients too short: image of t^{g} known to O(t^{img.trunc})")
         vec = [0] * (hi - floor)
-        for e, c in img.terms:
+        for e, c in zip(img.idx, img.coeffs):
             if floor <= e < hi:
-                vec[int(e) - floor] = _coeff_int(c)
+                vec[e - floor] = _coeff_int(c)
         rows.append(vec)
     ech = _echelon(rows, p)
     kept = [row[lo - floor:] for row in ech if _pivot_pos(row) >= lo - floor]

@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from ultralift.padics import TruncatedPAdic
 from ultralift.series import RationalField, TowerField, TruncatedSeries
+
+# property tests draw the same examples on every run; failures found
+# elsewhere are not replayed from a local example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 QQ = RationalField()
 F2 = TowerField(2)

@@ -53,11 +53,31 @@ def test_boundary_hypothesis_exits_2(capsys):
     assert "v f(b)" in out
 
 
-def test_parse_error_exits_64(capsys):
-    code, _, err = run_cli(capsys, "lift1d", "--ground", "nonsense",
-                           "--poly", "1*X0", "--point", "0")
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["lift1d", "--ground", "nonsense", "--poly", "1*X0", "--point", "0"],
+                 "bad ground", id="bad-ground"),
+    pytest.param(["invert-series", "--ground", "series:q:1:12", "--coeffs", "1",
+                  "--target=1*t^(1/0) + O(t^(12))"],
+                 "zero denominator", id="exponent-over-zero"),
+    pytest.param(["invert-series", "--ground", "series:q:1:12", "--coeffs", "1",
+                  "--target=1*t^(1) + O(t^(12/0))"],
+                 "zero denominator", id="order-over-zero"),
+    pytest.param(["dsolve", "--ground", "vdfield:2:12",
+                  "--target=(1)@2^0*t^(1) + O(t^(12))"],
+                 "tower level", id="tower-level-zero"),
+    pytest.param(["invert-series", "--ground", "series:q:1:12/0", "--coeffs", "1",
+                  "--target=1*t^(1) + O(t^(12))"],
+                 "bad ground", id="ground-precision-over-zero"),
+    pytest.param(["integrate", "--ground", "rosenlicht:1:12", "--target=1/0"],
+                 "bad series literal", id="series-literal-over-zero"),
+    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1/0"],
+                 "bad p-adic literal", id="padic-literal-over-zero"),
+])
+def test_parse_error_exits_64(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 64
-    assert "bad ground" in err
+    assert message in err
 
 
 def test_missing_payload_exits_64(capsys):
