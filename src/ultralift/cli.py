@@ -100,24 +100,27 @@ class GroundSpec:
                 if a.p != self.p:
                     raise ParseError(f"literal is {a.p}-adic, ground is {self.p}-adic")
                 return a
-            try:
-                return TruncatedPAdic.from_rational(self.p, Fraction(text), n)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad p-adic literal {text!r}") from exc
+            return TruncatedPAdic.from_rational(
+                self.p, _rational(text, "p-adic literal"), n)
         fld = self.coeff_field()
         trunc = self.precision + widen
         if "O(" in text:
             return parse_series(text, fld, self.denom)
-        try:
-            const = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad series literal {text!r}") from exc
+        const = _rational(text, "series literal")
         return TruncatedSeries(fld, self.denom, {Fraction(0): const}, trunc)
 
     def show(self, x) -> str:
         if isinstance(x, TruncatedPAdic):
             return format_padic(x)
         return format_series(x)
+
+
+def _rational(text: str, what: str) -> Fraction:
+    """A rational from the command line; malformed text is a ParseError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {what} {text!r}") from exc
 
 
 def _split_list(text: str) -> List[str]:
@@ -168,7 +171,7 @@ def _poly_parser(ground: GroundSpec, widen: Fraction):
             return ground.element(tok, widen)
         if tok.startswith("("):
             return ground.coeff_field().parse(tok)
-        return Fraction(tok)
+        return _rational(tok, "coefficient")
 
     return parse_c
 
@@ -347,7 +350,7 @@ def _cmd_ode(job: JobSpec, rep: Report):
     g = parse_poly(str(_need(job, "poly")), nvars,
                    _poly_parser(job.ground, job.headroom))
     c = job.ground.element(str(_need(job, "target")), job.headroom)
-    r = Fraction(str(_need(job, "r")))
+    r = _rational(str(_need(job, "r")), "--r")
     route = str(job.payload.get("route") or "dominant")
     rng = random.Random(job.seed)
     y, cert = diff_fields.ode_solve(inst, g, c, r, Value(job.precision),
@@ -437,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def job_from_args(args) -> JobSpec:
     ground = GroundSpec.parse(args.ground)
-    precision = Fraction(args.precision) if args.precision else ground.precision
+    precision = (_rational(args.precision, "--precision") if args.precision
+                 else ground.precision)
     if precision <= 0:
         raise UsageError("precision must be positive")
     payload = {
@@ -456,8 +460,8 @@ def job_from_args(args) -> JobSpec:
     }
     return JobSpec(command=args.command, ground=ground, precision=precision,
                    payload=payload, report=args.report, seed=args.seed,
-                   samples=args.samples, headroom=Fraction(args.headroom),
-                   tower_cap=args.tower_cap)
+                   samples=args.samples, tower_cap=args.tower_cap,
+                   headroom=_rational(args.headroom, "--headroom"))
 
 
 def main(argv=None) -> int:

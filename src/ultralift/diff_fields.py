@@ -285,7 +285,7 @@ def integrate_iterative(inst: RosenlichtInstance, a_prime: TruncatedSeries,
     start = inst.zero(trunc=a_prime.trunc + 1)
     return newton_drive(
         inst.D,
-        lambda r: asymptotic_integrate(inst, r),
+        lambda _y, r: asymptotic_integrate(inst, r),
         start,
         a_prime,
         precision,

@@ -1,10 +1,15 @@
 """One- and multi-dimensional Newton lifting, the implicit function
 theorem, pseudo-inverse lifting, and compositional inversion of series.
 
-All solvers linearize at the ORIGINAL point: the pseudo-slope (f'(b) in
-one dimension, det J_f(b) via the adjugate reduction in n dimensions) is
-frozen for the whole run, which keeps the certified slope valid on the
-whole ball.  Refreshing the Jacobian each step is a non-goal.
+Every solver checks its hypotheses and builds its uniqueness ball at the
+original point b.  ``newton_1d``, ``newton_nd`` (and ``implicit_fn``) and
+``series_invert`` then refresh the slope at each iterate y (f'(y), or J(y)
+with its determinant and adjugate), so N digits take O(log N) steps.  The
+iterate is only a candidate, carried at a working precision derived from
+the requested one and v(s); the coefficients and the target keep their
+stated caps, so every residual target - f(y) certifies against the inputs.
+``pseudo_inverse_lift`` keeps M° frozen: the paper certifies it, like the
+differential solvers, in a pseudo-linear setting with no determinant.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import HypothesisViolation, UsageError
-from .lifting import LiftCertificate, clip_accuracy, newton_drive
+from .lifting import clip_accuracy, newton_drive
 from .matrices import ValuedMatrix, jacobian
 from .polynomials import MultiPoly, _zero_like
 from .sampling import sample_near
@@ -88,11 +93,13 @@ def _require_ring_coeffs(f: MultiPoly, what: str):
                 index=idx, value=str(c.value()))
 
 
-_clip = clip_accuracy
-
-
-def _vfb(x) -> Value:
-    return x.value()
+def _pad(x, cap: Value):
+    """The candidate x re-expressed at ``cap``, a working precision such as
+    precision + 2 v(s) + 1: each division by the slope s costs v(s) digits,
+    and the quadratic step needs its residual known past 2 v(s)."""
+    if isinstance(x, ValuedVector):
+        return ValuedVector([_pad(e, cap) for e in x])
+    return x.pad(cap.amount)
 
 
 def newton_1d(f: MultiPoly, b, precision) -> tuple:
@@ -110,7 +117,8 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
         raise HypothesisViolation("the start must lie in the valuation ring",
                                   vb=str(b.value()))
     fb = f.eval([b])
-    s = f.partial(0).eval([b])
+    df = f.partial(0)
+    s = df.eval([b])
     if s.is_zero_mod_precision():
         raise HypothesisViolation(
             "f'(b) vanishes modulo precision; no pseudo-slope available",
@@ -121,11 +129,13 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
             f"need v f(b) > 2 v f'(b): got {fb.value()} <= {2 * vs}",
             vfb=str(fb.value()), two_vs=str(2 * vs))
     ball = Ball(b, vs, strict=True)
+    work = precision + 2 * vs + 1
+    start = _pad(b, work)
     root, cert = newton_drive(
         lambda y: f.eval([y]),
-        lambda r: r / s,
-        b,
-        _zero_like(b),
+        lambda y, r: _pad(r / df.eval([y]), work),
+        start,
+        _zero_like(start),
         precision,
         uniqueness_ball=ball,
     )
@@ -138,7 +148,7 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
                 gap=str(gap), expected=str(expected))
     # the returned representative carries `precision` digits: every element
     # of its accuracy class (width precision - vs) keeps v f(a) >= precision
-    return _clip(root, precision), cert
+    return clip_accuracy(root, precision), cert
 
 
 def _as_vector(x) -> ValuedVector:
@@ -146,11 +156,11 @@ def _as_vector(x) -> ValuedVector:
 
 
 def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
-    """Multi-dimensional Newton lifting via the adjugate reduction.
+    """Multi-dimensional Newton lifting via the adjugate.
 
-    The iteration is a <- a - J*_f(b) f(a) / det J_f(b) with the Jacobian
-    data frozen at b; the driver watches the residual of the reduced map
-    J*_f(b) f, which is pseudo-linear with slope det J_f(b).
+    The hypotheses are checked with the Jacobian at b; each step is
+    a <- a - J*_f(a) f(a) / det J_f(a), and the driver watches the plain
+    residual f(a) up to the requested precision.
     """
     precision = _as_value(precision)
     fs = list(fs)
@@ -170,30 +180,27 @@ def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
             "singular: det J_f(b) vanishes modulo precision",
             kind="singular", cap=str(s.precision_cap()))
     vs = s.value()
-    Jstar = J.adjugate()
     fb = ValuedVector([f.eval(list(b)) for f in fs])
     if not (fb.is_zero_mod_precision() or fb.value() > 2 * vs):
         raise HypothesisViolation(
             f"need v f(b) > 2 v det J_f(b): got {fb.value()} <= {2 * vs}",
             vfb=str(fb.value()), two_vs=str(2 * vs))
 
-    def reduced(y: ValuedVector) -> ValuedVector:
-        vals = ValuedVector([f.eval(list(y)) for f in fs])
-        return Jstar.apply(vals)
+    work = precision + 2 * vs + 1
 
-    target = ValuedVector([_zero_like(x) for x in b])
-    ball = Ball(b, vs, strict=True)
-    # drive the reduced residual past precision + vs so that the plain
-    # residual f(a) is certified at the requested precision
-    root, cert = newton_drive(
-        reduced,
-        lambda r: ValuedVector([x / s for x in r]),
-        b,
-        target,
-        precision + vs,
-        uniqueness_ball=ball,
-    )
-    g_b = Jstar.apply(fb)
+    def fmap(y: ValuedVector) -> ValuedVector:
+        return ValuedVector([f.eval(list(y)) for f in fs])
+
+    def companion(y: ValuedVector, r: ValuedVector) -> ValuedVector:
+        Jy = jacobian(fs, list(y))
+        det = Jy.determinant()
+        return _pad(ValuedVector([x / det for x in Jy.adjugate().apply(r)]), work)
+
+    start = _pad(b, work)
+    target = ValuedVector([_zero_like(x) for x in start])
+    root, cert = newton_drive(fmap, companion, start, target, precision,
+                              uniqueness_ball=Ball(b, vs, strict=True))
+    g_b = J.adjugate().apply(fb)
     if not g_b.is_zero_mod_precision():
         gap = (root - b).value()
         expected = g_b.value() - vs
@@ -201,7 +208,7 @@ def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
             raise HypothesisViolation(
                 f"value identity v(a-b) = v(J*f(b)) - v det J failed: "
                 f"{gap} != {expected}", gap=str(gap), expected=str(expected))
-    return _clip(root, precision), cert
+    return clip_accuracy(root, precision), cert
 
 
 def implicit_fn(fs: Sequence[MultiPoly], z, x_new, precision) -> tuple:
@@ -291,7 +298,7 @@ def pseudo_inverse_lift(fs: Sequence[MultiPoly], b, Mo: ValuedMatrix,
     ball = Ball(b, Value(0), strict=True)
     root, cert = newton_drive(
         fmap,
-        lambda r: Mo.apply(r),
+        lambda _y, r: Mo.apply(r),
         b,
         target,
         precision,
@@ -302,7 +309,7 @@ def pseudo_inverse_lift(fs: Sequence[MultiPoly], b, Mo: ValuedMatrix,
         if gap != fb.value():
             raise HypothesisViolation(
                 f"value map identity v(b - a) = v f(b) failed: {gap} != {fb.value()}")
-    return _clip(root, precision), cert
+    return clip_accuracy(root, precision), cert
 
 
 def series_invert(coeffs: Sequence, z_prime, precision) -> tuple:
@@ -320,24 +327,16 @@ def series_invert(coeffs: Sequence, z_prime, precision) -> tuple:
         raise HypothesisViolation(
             f"target must lie in the valuation ideal: v = {z_prime.value()}")
 
-    def fmap(y):
-        acc = y.zero_like()
-        power = y.one_like()
-        for c in coeffs:
-            power = power * y
-            acc = acc + power * field.coerce(c)
-        return acc
-
-    c1_inv = field.inverse(c1)
-    start = z_prime.zero_like()
-    ball = Ball(start, Value(0), strict=True)
+    f = MultiPoly(1, {(i,): field.coerce(c) for i, c in enumerate(coeffs, start=1)})
+    df = f.partial(0)
+    # the slope f'(y) is a unit on the valuation ideal: v(s) = 0
+    work = precision + 1
     root, cert = newton_drive(
-        fmap,
-        lambda r: r * c1_inv,
-        start,
+        lambda y: f.eval([y]),
+        lambda y, r: _pad(r / df.eval([y]), work),
+        _pad(z_prime.zero_like(), work),
         z_prime,
         precision,
-        uniqueness_ball=ball,
+        uniqueness_ball=Ball(z_prime.zero_like(), Value(0), strict=True),
     )
-    return _clip(root, precision), cert
-
+    return clip_accuracy(root, precision), cert

@@ -1,11 +1,12 @@
 """The generic correction-iteration driver and its run certificates.
 
 Every solver in the package is an instantiation of ``newton_drive``: a
-correction oracle turns the current residual into an update whose
-application strictly increases the residual value.  Strict increase on a
-discrete value grid plus a finite precision cap guarantees termination;
-a step that fails to increase the residual aborts immediately, because
-under the solvers' hypotheses such a step is impossible.
+correction oracle turns the current iterate and its residual into an
+update whose application strictly increases the residual value.  Strict
+increase on a discrete value grid plus a finite precision cap guarantees
+termination; a step that fails to increase the residual aborts
+immediately, because under the solvers' hypotheses such a step is
+impossible.
 """
 
 from __future__ import annotations
@@ -79,14 +80,18 @@ def newton_drive(
     uniqueness_ball: Optional[Ball] = None,
     on_step: Optional[Callable] = None,
 ) -> tuple:
-    """Iterate y += companion_solve(target - f(y)) until the residual value
-    reaches ``precision``.
+    """Iterate y += companion_solve(y, target - f(y)) until the residual
+    value reaches ``precision``.
 
-    ``companion_solve`` must return a correction c with
-    v(r - phi(c)) > v(r) for the instantiating solver's pseudo-companion
-    phi; the driver only watches the residual values.  ``on_step`` (if
-    given) is called with (old_y, new_y) after each accepted step, so
-    solvers can verify per-step laws on the actual iterates.
+    ``companion_solve(y, r)`` must return a correction c with
+    v(r - phi_y(c)) > v(r) for the instantiating solver's pseudo-companion
+    phi_y at the iterate y: a solver with a frozen slope ignores y, one
+    that refreshes its slope linearizes at y.  The driver only watches the
+    residual values, and every residual is computed from ``f`` and
+    ``target`` as given, so the run certifies against the inputs whatever
+    representative of y the companion carries.  ``on_step`` (if given) is
+    called with (old_y, new_y) after each accepted step, so solvers can
+    verify per-step laws on the actual iterates.
     """
     y = start
     r = target - f(y)
@@ -110,7 +115,7 @@ def newton_drive(
                 f"residual vanished modulo {r.precision_cap()} short of the "
                 f"requested {precision}; supply wider inputs")
         before = r.value()
-        c = companion_solve(r)
+        c = companion_solve(y, r)
         y_next = y + c
         r_next = target - f(y_next)
         after = r_next.value()

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .errors import UsageError
 from .polynomials import MultiPoly, _zero_like
-from .values import ValuedVector, value_min
+from .values import ValuedVector
 
 
 class ValuedMatrix:
@@ -76,9 +76,6 @@ class ValuedMatrix:
         return ValuedMatrix([[one if i == j else zero for j in range(self.n)]
                              for i in range(self.n)])
 
-    def scale(self, c) -> "ValuedMatrix":
-        return ValuedMatrix([[a * c for a in row] for row in self.rows])
-
     def determinant(self):
         return _det(self.rows, list(range(self.n)), list(range(self.n)))
 
@@ -94,12 +91,6 @@ class ValuedMatrix:
                 m = _det(self.rows, idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
                 adj[j][i] = m if (i + j) % 2 == 0 else -m
         return ValuedMatrix(adj)
-
-    def entry_values(self):
-        return [e.value() for row in self.rows for e in row]
-
-    def min_entry_value(self):
-        return value_min(self.entry_values())
 
     def __repr__(self):
         return f"ValuedMatrix({[list(r) for r in self.rows]!r})"

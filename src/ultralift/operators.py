@@ -264,7 +264,7 @@ def solve_wcm(F: OperatorPoly, co: WeakCoeffMap, residue_solver: Callable,
           else co.field.zero
           for d in ds]
 
-    def companion(r):
+    def companion(_y, r):
         target_bar = co.co(r)
         bar = residue_solver(cs, target_bar)
         if bar is None or co.field.is_zero(co.field.coerce(bar)):
@@ -340,7 +340,7 @@ def solve_dominant(F: OperatorPoly, b, e, precision, *, rng=None,
 
     hook = F.family.inverse_hook
 
-    def companion(r):
+    def companion(_y, r):
         return hook(r / d_n)
 
     ball = F.family.domain_ball
@@ -402,7 +402,7 @@ def solve_rosenlicht(F: OperatorPoly, b, precision, *, e=None, rng=None,
 
     hook = fam.inverse_hook
 
-    def companion(r):
+    def companion(_y, r):
         return hook(r / d_n)
 
     def remainder_law(y_old, y_new):

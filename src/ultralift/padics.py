@@ -7,6 +7,7 @@ exact on the digits it reports and costs v(divisor) digits of precision.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -75,6 +76,12 @@ class TruncatedPAdic:
 
     def truncate(self, precision: int) -> "TruncatedPAdic":
         return TruncatedPAdic(self.p, self.residue, min(self.precision, precision))
+
+    def pad(self, precision) -> "TruncatedPAdic":
+        """The same residue, read modulo p^precision: digits past the old
+        cap are taken as zero.  Only for a solver's candidate iterate,
+        whose digits a residual certifies, never for an input."""
+        return TruncatedPAdic(self.p, self.residue, math.ceil(precision))
 
     def _coerce(self, other):
         if isinstance(other, TruncatedPAdic):

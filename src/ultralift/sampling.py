@@ -35,7 +35,3 @@ def sample_near(center, radius: Value, rng, *, strict: bool = False):
         return center + delta
     raise UsageError(f"no sampler for {type(center).__name__}")
 
-
-def sample_element(prototype, rng, *, min_value=0):
-    """A random ring element shaped like ``prototype`` with value >= min_value."""
-    return sample_near(prototype.zero_like(), Value(Fraction(min_value)), rng)

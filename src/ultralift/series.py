@@ -476,12 +476,17 @@ class TruncatedSeries:
                        self.coeffs, self.ntrunc + s)
 
     def truncate(self, order) -> "TruncatedSeries":
-        order = min(_frac(order), self.trunc)
-        if (order * self.denom).denominator != 1:
+        return self.pad(min(_frac(order), self.trunc))
+
+    def pad(self, order) -> "TruncatedSeries":
+        """The same terms, known to O(t^order): past the old order they are
+        taken as zero.  Widening is only for a solver's candidate iterate,
+        whose terms a residual certifies, never for an input."""
+        n = _frac(order) * self.denom
+        if n.denominator != 1:
             return TruncatedSeries(self.field, self.denom, self.terms, order)
-        n = int(order * self.denom)
-        i = bisect_left(self.idx, n)
-        return _series(self.field, self.denom, self.idx[:i], self.coeffs[:i], n)
+        i = bisect_left(self.idx, int(n))
+        return _series(self.field, self.denom, self.idx[:i], self.coeffs[:i], int(n))
 
     def map_coeffs(self, fn) -> "TruncatedSeries":
         field = self.field

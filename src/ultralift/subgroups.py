@@ -71,10 +71,6 @@ class TruncatedSubspace:
     def pivots(self) -> List[int]:
         return [self.lo + _pivot_pos(row) for row in self.basis]
 
-    def row_series(self, row, field: TowerField) -> TruncatedSeries:
-        terms = {Fraction(self.lo + i): int(x) for i, x in enumerate(row) if x}
-        return TruncatedSeries(field, 1, terms, Fraction(self.hi))
-
     def elements(self, limit: int = 1 << 14):
         """Every vector in the span (tests only; capped)."""
         if self.p**self.dim > limit:

@@ -153,12 +153,6 @@ class ValuedVector:
         return f"ValuedVector({list(self.entries)!r})"
 
 
-def value_of(x) -> Value:
-    """Valuation of a ground element (lower bound at the truncation order
-    when the element is zero modulo precision)."""
-    return x.value()
-
-
 def value_at_least(x, alpha) -> bool:
     """Decide v(x) >= alpha, raising when the truncation order cannot tell."""
     alpha = _as_value(alpha)

@@ -73,6 +73,18 @@ def test_boundary_hypothesis_exits_2(capsys):
     pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
                   "--point", "1/0"],
                  "bad p-adic literal", id="padic-literal-over-zero"),
+    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1", "--precision", "1/0"],
+                 "bad --precision", id="precision-over-zero"),
+    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1", "--headroom", "1/0"],
+                 "bad --headroom", id="headroom-over-zero"),
+    pytest.param(["ode", "--ground", "rosenlicht:1:12", "--nvars", "2", "--r", "1/0",
+                  "--poly", "1*X0^2", "--target", "1*t^(2) + O(t^(12))"],
+                 "bad --r", id="r-over-zero"),
+    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1/0*X0^2 + -7",
+                  "--point", "1"],
+                 "bad coefficient", id="coefficient-over-zero"),
 ])
 def test_parse_error_exits_64(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
@@ -91,6 +103,15 @@ def test_tower_cap_exits_70(capsys):
                            "--target", "1*t^(1) + O(t^(8))",
                            "--tower-cap", "1")
     assert code == 70
+
+
+def test_unbounded_modulus_search_exits_70(capsys):
+    # F_{2^24} has no compatible modulus among the candidates the search
+    # may examine; the request is refused instead of searching for minutes
+    code, out, _ = run_cli(capsys, "dsolve", "--ground", "vdfield:2:12",
+                           "--target=(1)@2^24*t^(1) + O(t^(12))")
+    assert code == 70
+    assert "F_2^24" in out
 
 
 def test_dhensel_non_surjective_residue_exits_2(capsys):
@@ -213,3 +234,42 @@ def test_failed_reverification_exits_70(capsys, monkeypatch, solver, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 70
     assert "round-trip verification failed" in out
+
+
+def _solution(out):
+    return next(l for l in out.splitlines() if l.startswith("solution:"))
+
+
+@pytest.mark.parametrize("p, n, k, a, point", [
+    # sqrt(17) from 1: v f(b) = 4, v f'(b) = 1
+    (2, 40, 2, 17, 1), (2, 800, 2, 17, 1),
+    # cube root of 35 from 2: v f(b) = 3, v f'(b) = 1
+    (3, 25, 3, 35, 2), (3, 200, 3, 35, 2),
+])
+def test_non_unit_slope_exact_inputs_exit_0(capsys, p, n, k, a, point):
+    code, out, _ = run_cli(capsys, "lift1d", "--ground", f"padic:{p}:{n}",
+                           "--poly", f"1*X0^{k} + -{a}", "--point", str(point))
+    assert code == 0 and "reverified: True" in out
+    root = parse_padic(_solution(out).split(": ", 1)[1])
+    assert root.precision == n
+    assert (pow(root.residue, k, p**n) - a) % p**n == 0
+
+
+def test_sqrt17_digits_are_stable_across_precisions(capsys):
+    # the root is unique modulo 2^(N - v f'(b)) in the ball around b
+    digits = []
+    for n in (40, 800):
+        code, out, _ = run_cli(capsys, "lift1d", "--ground", f"padic:2:{n}",
+                               "--poly", "1*X0^2 + -17", "--point", "1")
+        assert code == 0
+        digits.append(parse_padic(_solution(out).split(": ", 1)[1]).digits())
+    assert digits[0][:39] == digits[1][:39]
+
+
+@pytest.mark.parametrize("extra, expected", [((), 70), (("--precision", "5"), 0)])
+def test_inexact_coefficient_is_not_padded(capsys, extra, expected):
+    # the constant states 5 digits; only the iterate is carried past them
+    code, out, _ = run_cli(capsys, "lift1d", "--ground", "padic:3:12",
+                           "--poly", "1*X0^2 + -1*{1,2,0,0,0+O(3^5)}",
+                           "--point", "1", *extra)
+    assert code == expected

@@ -1,6 +1,7 @@
 """Newton lemmas, implicit functions, pseudo-inverse lifting, inversion."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -114,6 +115,18 @@ def test_newton_1d_uniqueness_by_enumeration_2adic():
     assert {a % mod for a in hits} == {root.residue % mod}
 
 
+@pytest.mark.parametrize("p, poly, b, n", [
+    (3, "1*X0^2 + -7", 1, 800),
+    (2, "1*X0^2 + -17", 1, 800),
+    (3, "1*X0^3 + -35", 2, 200),
+])
+def test_newton_1d_steps_are_logarithmic(p, poly, b, n):
+    root, cert = newton_1d(parse_poly(poly, 1), padic(p, b, n + 8), n)
+    assert len(cert.steps) <= math.ceil(math.log2(n)) + 2
+    assert cert.monotone()
+    assert root.precision == n
+
+
 # -- multi-dimensional ---------------------------------------------------
 
 
@@ -163,6 +176,16 @@ def test_newton_nd_reduced_map_slope_law(rng):
         return Jstar.apply(ValuedVector([f.eval(list(y)) for f in fs]))
 
     slope_law_samples(reduced, b, s.value(), s.value(), rng, 50)
+
+
+def test_newton_nd_steps_are_logarithmic():
+    n = 400
+    fs = [parse_poly("1*X0^2 + -7", 2), parse_poly("1*X1^2 + -1*X0", 2)]
+    b = ValuedVector([padic(3, 1, n + 8), padic(3, 1, n + 8)])
+    roots, cert = newton_nd(fs, b, n)
+    assert len(cert.steps) <= math.ceil(math.log2(n)) + 2
+    for f in fs:
+        assert f.eval(list(roots)).value() >= Value(n)
 
 
 # -- implicit function ---------------------------------------------------
@@ -310,6 +333,15 @@ def test_series_invert_signed_catalan():
     for k in range(1, 13):
         assert y.coeff_at(k) == oracle[k]
     assert cert.monotone()
+
+
+@pytest.mark.parametrize("n", [12, 40, 96])
+def test_series_invert_steps_are_logarithmic(n):
+    z = q_series({1: 1}, n)
+    y, cert = series_invert([1, 1], z, n)
+    assert len(cert.steps) <= math.ceil(math.log2(n)) + 2
+    oracle = signed_catalan_inverse(n - 1)
+    assert all(y.coeff_at(k) == oracle[k] for k in range(1, n))
 
 
 def test_series_invert_zero_target():

@@ -17,7 +17,7 @@ def test_square_root_of_seven_matches_enumeration():
     start = padic(3, 1, 12)
     target = padic(3, 7, 12)
     two = padic(3, 2, 12)
-    got, cert = newton_drive(lambda y: y * y, lambda r: r / two,
+    got, cert = newton_drive(lambda y: y * y, lambda _y, r: r / two,
                              start, target, Value(12))
     assert got.residue == 148891  # the branch through 1 mod 3; 4 mod 9
     assert got.residue % 9 == 4
@@ -27,7 +27,7 @@ def test_square_root_of_seven_matches_enumeration():
 
 def test_exact_zero_outcome():
     start = padic(3, 5, 10)
-    _, cert = newton_drive(lambda y: y * y, lambda r: r, start,
+    _, cert = newton_drive(lambda y: y * y, lambda _y, r: r, start,
                            start * start, Value(10))
     assert cert.outcome == "exact-zero"
     assert cert.steps == ()
@@ -36,7 +36,7 @@ def test_exact_zero_outcome():
 def test_identity_map_single_step():
     start = padic(3, 0, 10)
     target = padic(3, 42, 10)
-    got, cert = newton_drive(lambda y: y, lambda r: r, start, target, Value(10))
+    got, cert = newton_drive(lambda y: y, lambda _y, r: r, start, target, Value(10))
     assert got == target
     assert len(cert.steps) == 1
 
@@ -47,14 +47,14 @@ def test_residual_saturated_short_of_precision_raises():
     start = padic(3, 0, 12)
     target = padic(3, 42, 8)
     with pytest.raises(PrecisionLossError):
-        newton_drive(lambda y: y, lambda r: r, start, target, Value(12))
+        newton_drive(lambda y: y, lambda _y, r: r, start, target, Value(12))
 
 
 def test_stall_raises_with_certificate():
     start = padic(3, 1, 10)
     target = padic(3, 7, 10)
     with pytest.raises(StallError) as exc:
-        newton_drive(lambda y: y * y, lambda r: r.zero_like() + 3,
+        newton_drive(lambda y: y * y, lambda _y, r: r.zero_like() + 3,
                      start, target, Value(10))
     cert = exc.value.certificate
     assert cert is not None and cert.outcome == "stalled"
@@ -65,7 +65,7 @@ def test_residual_monotonicity_recorded():
     start = padic(3, 1, 12)
     target = padic(3, 7, 12)
     two = padic(3, 2, 12)
-    _, cert = newton_drive(lambda y: y * y, lambda r: r / two,
+    _, cert = newton_drive(lambda y: y * y, lambda _y, r: r / two,
                            start, target, Value(12))
     values = [s.residual_before for s in cert.steps] + [cert.final_residual]
     assert all(a < b for a, b in zip(values, values[1:]))
