@@ -123,6 +123,18 @@ def _rational(text: str, what: str) -> Fraction:
         raise ParseError(f"bad {what} {text!r}") from exc
 
 
+def _integers(text: str, what: str, count: int = 1) -> List[int]:
+    """``count`` colon-separated integers from the command line; malformed
+    text is a ParseError."""
+    try:
+        out = [int(x) for x in text.split(":")]
+    except ValueError:
+        out = []
+    if len(out) != count:
+        raise ParseError(f"bad {what} {text!r}")
+    return out
+
+
 def _split_list(text: str) -> List[str]:
     return [chunk.strip() for chunk in text.split(";") if chunk.strip()]
 
@@ -312,7 +324,7 @@ def _cmd_dhensel(job: JobSpec, rep: Report):
     if job.ground.kind != "vdfield":
         raise UsageError("dhensel runs on vdfield grounds")
     inst = _vd_instance(job)
-    nvars = int(str(job.payload.get("nvars") or 2))
+    nvars = _integers(str(job.payload.get("nvars") or 2), "--nvars")[0]
     poly = parse_poly(str(_need(job, "poly")), nvars,
                       _poly_parser(job.ground, job.headroom))
     b = job.ground.element(str(job.payload.get("point") or "0"), job.headroom)
@@ -346,7 +358,7 @@ def _cmd_ode(job: JobSpec, rep: Report):
     if job.ground.kind != "rosenlicht":
         raise UsageError("ode runs on rosenlicht grounds")
     inst = _ros_instance(job)
-    nvars = int(str(job.payload.get("nvars") or 2))
+    nvars = _integers(str(job.payload.get("nvars") or 2), "--nvars")[0]
     g = parse_poly(str(_need(job, "poly")), nvars,
                    _poly_parser(job.ground, job.headroom))
     c = job.ground.element(str(_need(job, "target")), job.headroom)
@@ -367,8 +379,7 @@ def _cmd_subgroup(job: JobSpec, rep: Report):
     fld = job.ground.coeff_field()
     if not hasattr(fld, "p"):
         raise UsageError("subgroup needs a finite coefficient field")
-    lo_s, hi_s = str(_need(job, "window")).split(":")
-    lo, hi = int(lo_s), int(hi_s)
+    lo, hi = _integers(str(_need(job, "window")), "--window", 2)
     widen = Fraction(max(0, hi) + job.headroom * (hi - lo))
     polys = []
     for spec in _need(job, "addpolys"):

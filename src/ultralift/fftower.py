@@ -7,13 +7,24 @@ with every previously fixed subfield level.  Norm compatibility makes the
 canonical embeddings x_d -> x_m^((p^m-1)/(p^d-1)) ring maps that commute,
 so elements at different levels can be mixed freely; arithmetic lifts to
 the lcm level.  The table is reproducible bit for bit.
+
+Every modulus is primitive, so x generates F_{p^m}^x.  A level of at
+most ``_TABLE_ELEMENTS`` elements builds, on first use, log and antilog
+tables for x^k <-> k: products, inverses, powers and the Frobenius
+become integer arithmetic modulo p^m - 1, the embedding F_{p^d} ->
+F_{p^m} multiplies k by r = (p^m - 1)/(p^d - 1), and an element lies in
+F_{p^d} exactly when r divides k.  Larger levels (the additive solver
+climbs to degree 64) keep polynomial arithmetic modulo C_m.  Elements
+store the reduced coefficient tuple of length ``level``: ``FFTower.elem``
+validates outside input, kernels build results directly.  Linear algebra
+over F_p runs on sparse rows (``_echelon``).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from .errors import ResourceCapError, UsageError
 
@@ -113,60 +124,42 @@ def _is_irreducible(g, p):
     return True
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 _FACTOR_CACHE = {}
 
 
-def _factor_order(n):
-    """Prime factors of n (the multiplicative group order p^m - 1)."""
+def _prime_factors(n):
+    """Prime factors of n, such as a level or a group order p^m - 1, by
+    trial division up to 10^6 and then sympy."""
     if n not in _FACTOR_CACHE:
-        small = _prime_factors_bounded(n, 10**6)
-        if small is None:
+        out, rest, d = [], n, 2
+        while d * d <= rest and d <= 10**6:
+            if rest % d == 0:
+                out.append(d)
+                while rest % d == 0:
+                    rest //= d
+            d += 1
+        if d * d <= rest:
             from sympy import factorint  # lazy; only large towers need it
 
-            small = sorted(factorint(n).keys())
-        _FACTOR_CACHE[n] = small
+            out = sorted(factorint(n).keys())
+        elif rest > 1:
+            out.append(rest)
+        _FACTOR_CACHE[n] = out
     return _FACTOR_CACHE[n]
-
-
-def _prime_factors_bounded(n, bound):
-    out = []
-    d = 2
-    while d * d <= n and d <= bound:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n == 1:
-        return out
-    if d * d > n:
-        out.append(n)
-        return out
-    return None
 
 
 def _is_primitive(g, p):
     m = len(g) - 1
     order = p**m - 1
-    for q in _factor_order(order):
+    for q in _prime_factors(order):
         if _ppowmod([0, 1], order // q, g, p) == [1]:
             return False
     return True
 
+
+# levels of at most this many elements get log and antilog tables, each
+# under 1 MiB; 2^16 would add F_{3^8} and F_{3^9} and about 4 MiB of RSS
+_TABLE_ELEMENTS = 1 << 12
 
 # polynomials the modulus search examines per level: F_{3^12}, the deepest
 # level in use, is found at candidate 524; F_{2^24} would take minutes
@@ -182,6 +175,7 @@ class FFTower:
         self.p = p
         self._moduli = {}
         self._gen_images = {}
+        self._tables = {}
         self._lock = threading.Lock()
 
     def modulus(self, m: int) -> tuple:
@@ -230,6 +224,20 @@ class FFTower:
             acc = _pmod(acc, g, p)
         return not acc
 
+    def _log_tables(self, m):
+        """(log, antilog) of level m on the powers of x modulo C_m, or None
+        above ``_TABLE_ELEMENTS``; a zero tuple has no log."""
+        if m not in self._tables:
+            antilog, x = [], (1,) + (0,) * (m - 1)
+            if self.p**m <= _TABLE_ELEMENTS:
+                p, g = self.p, self.modulus(m)
+                for _ in range(p**m - 1):
+                    antilog.append(x)
+                    x = tuple([(c - x[-1] * gi) % p for c, gi in zip((0,) + x[:-1], g)])
+            tables = ({a: k for k, a in enumerate(antilog)}, antilog)
+            self._tables[m] = tables if antilog else None
+        return self._tables[m]
+
     def elem(self, level: int, coeffs) -> "FFTowerElem":
         self.modulus(level)
         vec = [c % self.p for c in coeffs]
@@ -269,7 +277,12 @@ class FFTower:
         if m % a.level != 0:
             raise UsageError(f"no embedding F_{self.p}^{a.level} -> F_{self.p}^{m}")
         if a.level == 1:
-            return self.elem(m, [a.coeffs[0]])
+            return FFTowerElem(self, m, a.coeffs + (0,) * (m - 1))
+        tables = self._log_tables(m)
+        if tables is not None:
+            k = self._log_tables(a.level)[0].get(a.coeffs)
+            r = len(tables[1]) // (self.p**a.level - 1)
+            return FFTowerElem(self, m, (0,) * m if k is None else tables[1][k * r])
         xi = list(self._generator_image(a.level, m))
         g = list(self.modulus(m))
         acc = []
@@ -318,6 +331,8 @@ class FFTowerElem:
             other = self.tower.from_int(other)
         if not isinstance(other, FFTowerElem):
             return None, None
+        if other.level == self.level and other.tower is self.tower:
+            return self, other
         if other.tower.p != self.p:
             raise UsageError("tower elements over different primes")
         m = self.level * other.level // math.gcd(self.level, other.level)
@@ -327,7 +342,9 @@ class FFTowerElem:
         a, b = self._common(other)
         if a is None:
             return NotImplemented
-        return self.tower.elem(a.level, _padd(list(a.coeffs), list(b.coeffs), self.p))
+        p = self.tower.p
+        return FFTowerElem(self.tower, a.level,
+                           tuple([(x + y) % p for x, y in zip(a.coeffs, b.coeffs)]))
 
     __radd__ = __add__
 
@@ -335,28 +352,44 @@ class FFTowerElem:
         a, b = self._common(other)
         if a is None:
             return NotImplemented
-        return self.tower.elem(a.level, _psub(list(a.coeffs), list(b.coeffs), self.p))
+        p = self.tower.p
+        return FFTowerElem(self.tower, a.level,
+                           tuple([(x - y) % p for x, y in zip(a.coeffs, b.coeffs)]))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self.tower.elem(self.level, [(-c) % self.p for c in self.coeffs])
+        p = self.tower.p
+        return FFTowerElem(self.tower, self.level, tuple([(-c) % p for c in self.coeffs]))
 
     def __mul__(self, other):
         a, b = self._common(other)
         if a is None:
             return NotImplemented
-        prod = _pmul(list(a.coeffs), list(b.coeffs), self.p)
-        return self.tower.elem(a.level, _pmod(prod, list(self.tower.modulus(a.level)), self.p))
+        tw, m = self.tower, a.level
+        tables = tw._log_tables(m)
+        if tables is None:
+            prod = _pmul(list(a.coeffs), list(b.coeffs), tw.p)
+            return tw.elem(m, _pmod(prod, list(tw.modulus(m)), tw.p))
+        log, antilog = tables
+        ka, kb = log.get(a.coeffs), log.get(b.coeffs)
+        if ka is None or kb is None:
+            return FFTowerElem(tw, m, (0,) * m)
+        return FFTowerElem(tw, m, antilog[(ka + kb) % len(antilog)])
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the tower")
-        p = self.p
-        g = list(self.tower.modulus(self.level))
+        tw, m = self.tower, self.level
+        tables = tw._log_tables(m)
+        if tables is not None:
+            log, antilog = tables
+            return FFTowerElem(tw, m, antilog[-log[self.coeffs] % len(antilog)])
+        p = tw.p
+        g = list(tw.modulus(m))
         # extended Euclid in F_p[x]
         r0, r1 = g, _trim(self.coeffs)
         s0, s1 = [], [1]
@@ -366,7 +399,7 @@ class FFTowerElem:
             s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
         inv_lead = pow(r0[-1], -1, p)
         s0 = [(c * inv_lead) % p for c in s0]
-        return self.tower.elem(self.level, _pmod(s0, g, p))
+        return tw.elem(m, _pmod(s0, g, p))
 
     def __truediv__(self, other):
         a, b = self._common(other)
@@ -380,29 +413,40 @@ class FFTowerElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        g = list(self.tower.modulus(self.level))
-        out = _ppowmod(list(self.coeffs), e, g, self.p)
-        return self.tower.elem(self.level, out)
+        tw, m = self.tower, self.level
+        tables = tw._log_tables(m)
+        if tables is None:
+            return tw.elem(m, _ppowmod(list(self.coeffs), e, list(tw.modulus(m)), tw.p))
+        log, antilog = tables
+        k = log.get(self.coeffs)
+        if k is None:  # 0^0 = 1
+            return self if e else tw.one(m)
+        return FFTowerElem(tw, m, antilog[k * e % len(antilog)])
 
     def frobenius(self) -> "FFTowerElem":
         return self**self.p
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.tower.from_int(other)
-        if not isinstance(other, FFTowerElem):
-            return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return NotImplemented if a is None else a.coeffs == b.coeffs
 
     def __hash__(self):
         return hash((self.p, self._minimal_form()))
 
     def _minimal_form(self):
         """Coefficient tuple at the smallest level containing the element."""
+        tables = self.tower._log_tables(self.level)
+        if tables is not None:
+            k = tables[0].get(self.coeffs)
+            if k is None:
+                return (0,)
+            for d in sorted(_divisors(self.level)):
+                sub = self.tower._log_tables(d)[1]
+                r = len(tables[1]) // len(sub)
+                if k % r == 0:
+                    return sub[k // r]
         for d in sorted(_divisors(self.level)):
-            lifted = self.tower.embed(self, self.level)
-            if (lifted ** (self.p**d)) == lifted:
+            if self ** (self.p**d) == self:
                 if d == self.level:
                     return self.coeffs
                 pulled = self._pull_back(d)
@@ -427,7 +471,7 @@ class FFTowerElem:
             raise UsageError("order of zero")
         n = self.p**self.level - 1
         order = n
-        for q in _factor_order(n):
+        for q in _prime_factors(n):
             while order % q == 0 and self ** (order // q) == self.tower.one(self.level):
                 order //= q
         return order
@@ -445,37 +489,50 @@ def _divisors(n):
     return out
 
 
+def _echelon(rows: Iterable[Dict[int, int]], p: int) -> List[Dict[int, int]]:
+    """Reduced row echelon form over F_p of sparse rows {position:
+    coefficient}, ordered by pivot position; zero rows drop out.  Each row
+    is reduced by the pivot rows found so far, and a new pivot is cleared
+    from them, so the work follows the nonzeros, not the width."""
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        r = {i: x % p for i, x in row.items() if x % p}
+        for c in [c for c in r if c in pivots]:
+            r = _axpy(r, -r[c], pivots[c], p)
+        if not r:
+            continue
+        c = min(r)
+        inv = pow(r[c], -1, p)
+        r = {i: x * inv % p for i, x in r.items()}
+        for k, other in pivots.items():
+            if c in other:
+                pivots[k] = _axpy(other, -other[c], r, p)
+        pivots[c] = r
+    return [pivots[c] for c in sorted(pivots)]
+
+
+def _axpy(r: Dict[int, int], f: int, row: Dict[int, int], p: int) -> Dict[int, int]:
+    """The sparse row r + f * row over F_p."""
+    out = dict(r)
+    for i, y in row.items():
+        out[i] = (out.get(i, 0) + f * y) % p
+    return {i: x for i, x in out.items() if x}
+
+
 def _solve_mod_p(columns, rhs, p):
     """Solve sum_i v_i * columns[i] = rhs over F_p; None if inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    ncols = len(columns)
-    nrows = len(rhs)
-    aug = [[columns[j][i] % p for j in range(ncols)] + [rhs[i] % p] for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(x * inv) % p for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols]:
+    n = len(columns)
+    cols = list(columns) + [rhs]
+    rows = [{j: c[i] for j, c in enumerate(cols) if c[i]} for i in range(len(rhs))]
+    sol = [0] * n
+    for row in _echelon(rows, p):
+        pivot = min(row)
+        if pivot == n:
             return None
-    sol = [0] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
+        sol[pivot] = row.get(n, 0)
     return sol
 
 

@@ -102,6 +102,18 @@ def _pad(x, cap: Value):
     return x.pad(cap.amount)
 
 
+def _check_gap(root, b, expected: Value, known: Value, identity: str):
+    """v(root - b) must equal ``expected`` below the precision to which
+    root - b is known: its cap, and ``known`` = precision - v(slope), past
+    which a root with residual value >= precision is not determined."""
+    diff = root - b
+    gap = diff.value()
+    cap = min(diff.precision_cap(), known)
+    if min(gap, cap) != min(expected, cap):
+        raise HypothesisViolation(f"{identity} failed: {gap} != {expected}",
+                                  gap=str(gap), expected=str(expected))
+
+
 def newton_1d(f: MultiPoly, b, precision) -> tuple:
     """Lift a root of a univariate polynomial from an approximate one.
 
@@ -140,12 +152,8 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
         uniqueness_ball=ball,
     )
     if not fb.is_zero_mod_precision():
-        gap = (root - b).value()
-        expected = fb.value() - vs
-        if gap != expected:
-            raise HypothesisViolation(
-                f"value identity v(a-b) = vf(b) - vf'(b) failed: {gap} != {expected}",
-                gap=str(gap), expected=str(expected))
+        _check_gap(root, b, fb.value() - vs, precision - vs,
+                   "value identity v(a-b) = vf(b) - vf'(b)")
     # the returned representative carries `precision` digits: every element
     # of its accuracy class (width precision - vs) keeps v f(a) >= precision
     return clip_accuracy(root, precision), cert
@@ -202,12 +210,8 @@ def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
                               uniqueness_ball=Ball(b, vs, strict=True))
     g_b = J.adjugate().apply(fb)
     if not g_b.is_zero_mod_precision():
-        gap = (root - b).value()
-        expected = g_b.value() - vs
-        if gap != expected:
-            raise HypothesisViolation(
-                f"value identity v(a-b) = v(J*f(b)) - v det J failed: "
-                f"{gap} != {expected}", gap=str(gap), expected=str(expected))
+        _check_gap(root, b, g_b.value() - vs, precision - vs,
+                   "value identity v(a-b) = v(J*f(b)) - v det J")
     return clip_accuracy(root, precision), cert
 
 
@@ -305,10 +309,7 @@ def pseudo_inverse_lift(fs: Sequence[MultiPoly], b, Mo: ValuedMatrix,
         uniqueness_ball=ball,
     )
     if not fb.is_zero_mod_precision():
-        gap = (root - b).value()
-        if gap != fb.value():
-            raise HypothesisViolation(
-                f"value map identity v(b - a) = v f(b) failed: {gap} != {fb.value()}")
+        _check_gap(root, b, fb.value(), precision, "value map identity v(b - a) = v f(b)")
     return clip_accuracy(root, precision), cert
 
 

@@ -6,16 +6,19 @@ image of an additive polynomial is an F_p-subspace, so windowed linear
 algebra is exact within the window and every claim is "modulo value >=
 hi".  Echelon bases are ordered by ascending leading exponent, which
 makes the greedy elimination step exactly the value-improvement step of
-the immediacy criterion.
+the immediacy criterion.  Bases are stored as dense tuples, but echelon
+work runs on sparse rows {position: coefficient} (``fftower._echelon``):
+image rows have one or two nonzeros, so the cost follows the nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PrecisionLossError, ResourceCapError, UsageError
+from .fftower import _echelon
 from .series import TowerField, TruncatedSeries, _series
 from .values import Value
 
@@ -94,29 +97,22 @@ def _pivot_pos(row) -> int:
     raise UsageError("zero row in an echelon basis")
 
 
-def _echelon(rows: Sequence[Sequence[int]], p: int) -> List[List[int]]:
-    """Reduced row echelon form over F_p, rows ordered by pivot position."""
-    work = [list(r) for r in rows if any(r)]
-    out: List[List[int]] = []
-    width = len(work[0]) if work else 0
-    col = 0
-    while work and col < width:
-        sel = next((r for r in work if r[col] % p), None)
-        if sel is None:
-            col += 1
-            continue
-        work.remove(sel)
-        inv = pow(sel[col], -1, p)
-        sel = [(x * inv) % p for x in sel]
-        work = [[(x - r[col] * y) % p for x, y in zip(r, sel)] if r[col] % p else r
-                for r in work]
-        work = [r for r in work if any(r)]
-        out = [[(x - r[col] * y) % p for x, y in zip(r, sel)] if r[col] % p else r
-               for r in out]
-        out.append(sel)
-        col += 1
-    out.sort(key=_pivot_pos)
-    return out
+def _subspace(p: int, lo: int, hi: int, rows: Iterable[Dict[int, int]],
+              shift: int = 0) -> TruncatedSubspace:
+    """The reduced echelon basis of the sparse rows on the window [lo, hi),
+    keeping the rows whose pivot is at or past ``shift``, moved down by it."""
+    basis = []
+    for row in _echelon(rows, p):
+        if min(row) >= shift:
+            vec = [0] * (hi - lo)
+            for i, x in row.items():
+                vec[i - shift] = x
+            basis.append(tuple(vec))
+    return TruncatedSubspace(p, lo, hi, tuple(basis))
+
+
+def _sparse(vec: Sequence[int]) -> Dict[int, int]:
+    return {i: x for i, x in enumerate(vec) if x}
 
 
 def _series_window_vector(a: TruncatedSeries, lo: int, hi: int) -> List[int]:
@@ -143,9 +139,7 @@ def _coeff_int(c) -> int:
 
 def subspace_from_series(elems: Sequence[TruncatedSeries], lo: int, hi: int,
                          p: int) -> TruncatedSubspace:
-    rows = [_series_window_vector(a, lo, hi) for a in elems]
-    basis = _echelon(rows, p) if rows else []
-    return TruncatedSubspace(p, lo, hi, tuple(tuple(r) for r in basis))
+    return _subspace(p, lo, hi, [_sparse(_series_window_vector(a, lo, hi)) for a in elems])
 
 
 def image_window(f: AdditivePoly, window: Tuple[int, int], *,
@@ -200,14 +194,9 @@ def image_window(f: AdditivePoly, window: Tuple[int, int], *,
         if img.trunc < hi:
             raise PrecisionLossError(
                 f"coefficients too short: image of t^{g} known to O(t^{img.trunc})")
-        vec = [0] * (hi - floor)
-        for e, c in zip(img.idx, img.coeffs):
-            if floor <= e < hi:
-                vec[e - floor] = _coeff_int(c)
-        rows.append(vec)
-    ech = _echelon(rows, p)
-    kept = [row[lo - floor:] for row in ech if _pivot_pos(row) >= lo - floor]
-    return TruncatedSubspace(p, lo, hi, tuple(tuple(r) for r in kept))
+        rows.append({e - floor: _coeff_int(c)
+                     for e, c in zip(img.idx, img.coeffs) if floor <= e < hi})
+    return _subspace(p, lo, hi, rows, lo - floor)
 
 
 @dataclass(frozen=True)
@@ -225,10 +214,8 @@ def _union_span(subspaces: Sequence[TruncatedSubspace]) -> TruncatedSubspace:
     for s in subspaces[1:]:
         if (s.lo, s.hi, s.p) != (first.lo, first.hi, first.p):
             raise UsageError("subspaces live on different windows")
-    rows = [row for s in subspaces for row in s.basis]
-    basis = _echelon(rows, first.p) if rows else []
-    return TruncatedSubspace(first.p, first.lo, first.hi,
-                             tuple(tuple(r) for r in basis))
+    return _subspace(first.p, first.lo, first.hi,
+                     [_sparse(row) for s in subspaces for row in s.basis])
 
 
 def pseudo_direct_check(subspaces: Sequence[TruncatedSubspace],
@@ -248,13 +235,9 @@ def pseudo_direct_check(subspaces: Sequence[TruncatedSubspace],
     p = total.p
     for row in total.basis:
         alpha = lo + _pivot_pos(row)
-        high_rows = [r for s in subspaces for r in s.basis
+        high_rows = [_sparse(r) for s in subspaces for r in s.basis
                      if s.lo + _pivot_pos(r) >= alpha]
-        ok_here = False
-        if high_rows:
-            ech = _echelon(high_rows, p)
-            ok_here = any(lo + _pivot_pos(r) == alpha for r in ech)
-        if not ok_here:
+        if not any(lo + min(r) == alpha for r in _echelon(high_rows, p)):
             return PseudoDirectReport(False, witness=tuple(row),
                                       witness_value=alpha)
     return PseudoDirectReport(True)

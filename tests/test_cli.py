@@ -7,7 +7,7 @@ import pytest
 from ultralift import cli, hensel
 from ultralift.errors import StallError
 from ultralift.lifting import LiftCertificate
-from ultralift.padics import parse_padic
+from ultralift.padics import TruncatedPAdic, parse_padic
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +85,18 @@ def test_boundary_hypothesis_exits_2(capsys):
     pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1/0*X0^2 + -7",
                   "--point", "1"],
                  "bad coefficient", id="coefficient-over-zero"),
+    pytest.param(["ode", "--ground", "rosenlicht:1:12", "--nvars", "abc", "--r", "2",
+                  "--poly", "1*X0^2", "--target", "1*t^(2) + O(t^(12))"],
+                 "bad --nvars", id="ode-nvars-not-integer"),
+    pytest.param(["dhensel", "--ground", "vdfield:2:16", "--nvars", "x",
+                  "--poly", "1*X1^2 + 1*X1 + -1*{1*t^(1) + O(t^(16))}", "--point", "0"],
+                 "bad --nvars", id="dhensel-nvars-not-integer"),
+    pytest.param(["subgroup", "--ground", "series:f2:1:20", "--addpoly", "0;1",
+                  "--window", "a:6"],
+                 "bad --window", id="window-bound-not-integer"),
+    pytest.param(["subgroup", "--ground", "series:f2:1:20", "--addpoly", "0;1",
+                  "--window", "6"],
+                 "bad --window", id="window-without-colon"),
 ])
 def test_parse_error_exits_64(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
@@ -273,3 +285,39 @@ def test_inexact_coefficient_is_not_padded(capsys, extra, expected):
                            "--poly", "1*X0^2 + -1*{1,2,0,0,0+O(3^5)}",
                            "--point", "1", *extra)
     assert code == expected
+
+
+# starts whose residual is already past the requested precision 12: the
+# value identity can only be read up to precision - v(slope)
+@pytest.mark.parametrize("argv", [
+    pytest.param(("lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "4400419"), id="lift1d-vfb-14"),
+    pytest.param(("lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "148891"), id="lift1d-vfb-12"),
+    pytest.param(("liftnd", "--ground", "padic:3:12", "--poly", "1*X0 + -4782969",
+                  "--poly", "1*X1", "--point", "0;0"), id="liftnd-vfb-14"),
+    pytest.param(("pinv-lift", "--ground", "padic:3:12", "--poly", "1*X0 + -4782969",
+                  "--poly", "1*X1", "--point", "0;0", "--pseudo-inverse", "1;0|0;1"),
+                 id="pinv-lift-vfb-14"),
+])
+def test_start_past_precision_exits_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "reverified: True" in out
+
+
+@pytest.mark.parametrize("point, digit", [
+    ("4400419", 11),  # v f(b) = 14: the last certified digit is still checked
+    ("1", 0),         # v f(b) = 1: the identity is exact below the precision
+])
+def test_root_one_digit_off_exits_2(capsys, monkeypatch, point, digit):
+    real = hensel.newton_drive
+
+    def one_digit_off(*args, **kwargs):
+        root, cert = real(*args, **kwargs)
+        return root + TruncatedPAdic.from_rational(3, 3**digit, root.precision), cert
+
+    monkeypatch.setattr(hensel, "newton_drive", one_digit_off)
+    code, out, _ = run_cli(capsys, "lift1d", "--ground", "padic:3:12",
+                           "--poly", "1*X0^2 + -7", "--point", point)
+    assert code == 2
+    assert "value identity" in out

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import F2
+from ultralift.fftower import _echelon
 from ultralift.series import TruncatedSeries
 from ultralift.subgroups import (AdditivePoly, frobenius_power, image_window,
                                  optimal_approx, pseudo_direct_check,
@@ -226,3 +229,106 @@ def test_prop64_equivalence_on_tiny_window(rng):
     got = pseudo_direct_check([s1, s2], (0, 3)).ok
     want = brute_pseudo_direct([s1, s2], 0, 3)
     assert got == want
+
+
+# -- sparse echelon against the dense one it replaced -------------------------
+
+
+def dense_echelon(rows, p):
+    """Reduced row echelon form over F_p of dense rows, ordered by pivot
+    position: every pivot column is cleared from every other row."""
+    work = [list(r) for r in rows if any(r)]
+    out = []
+    width = len(work[0]) if work else 0
+    col = 0
+    while work and col < width:
+        sel = next((r for r in work if r[col] % p), None)
+        if sel is None:
+            col += 1
+            continue
+        work.remove(sel)
+        inv = pow(sel[col], -1, p)
+        sel = [(x * inv) % p for x in sel]
+        work = [[(x - r[col] * y) % p for x, y in zip(r, sel)] if r[col] % p else r
+                for r in work]
+        work = [r for r in work if any(r)]
+        out = [[(x - r[col] * y) % p for x, y in zip(r, sel)] if r[col] % p else r
+               for r in out]
+        out.append(sel)
+        col += 1
+    out.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
+    return out
+
+
+def sparse_echelon_dense(rows, p, width):
+    out = []
+    for row in _echelon([{i: x for i, x in enumerate(r) if x} for r in rows], p):
+        vec = [0] * width
+        for i, x in row.items():
+            vec[i] = x
+        out.append(vec)
+    return out
+
+
+def random_rows(rng, p, width, nrows):
+    """Zero rows, duplicates, rows with one or two nonzeros (the shape of
+    image_window's generators) and dense rows, mixed."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.choice(("zero", "duplicate", "sparse", "sparse", "dense"))
+        row = [0] * width
+        if kind == "duplicate" and rows:
+            row = list(rng.choice(rows))
+        elif kind == "sparse":
+            for i in rng.sample(range(width), min(width, rng.randrange(1, 3))):
+                row[i] = rng.randrange(1, p)
+        elif kind == "dense":
+            row = [rng.randrange(p) for _ in range(width)]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 300), st.integers(0, 40),
+       st.integers(0, 2**32))
+def test_sparse_echelon_matches_dense(p, width, nrows, seed):
+    rows = random_rows(random.Random(seed), p, width, nrows)
+    assert sparse_echelon_dense(rows, p, width) == dense_echelon(rows, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("shape", ("full-rank", "rank-0", "no-rows", "duplicates"))
+def test_sparse_echelon_edge_ranks(p, shape):
+    rng = random.Random(f"{p}:{shape}")
+    width = 12
+    if shape == "full-rank":
+        # a unit lower-triangular matrix with its rows shuffled
+        rows = [[rng.randrange(p) if j < i else int(j == i) for j in range(width)]
+                for i in range(width)]
+        rng.shuffle(rows)
+    elif shape == "rank-0":
+        rows = [[0] * width for _ in range(5)]
+    elif shape == "no-rows":
+        rows = []
+    else:
+        row = [rng.randrange(p) for _ in range(width)]
+        row[3] = 1
+        rows = [row, [(2 * x) % p for x in row], row]
+    got = sparse_echelon_dense(rows, p, width)
+    assert got == dense_echelon(rows, p)
+    rank = {"full-rank": width, "rank-0": 0, "no-rows": 0, "duplicates": 1}[shape]
+    assert len(got) == rank
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_sparse_echelon_on_image_shaped_rows(p):
+    # about the shape of the p90 subgroup request: ~110 rows over 289
+    # columns, each with one or two nonzeros
+    rng = random.Random(p)
+    rows = []
+    for _ in range(110):
+        row = [0] * 289
+        for i in rng.sample(range(289), rng.randrange(1, 3)):
+            row[i] = rng.randrange(1, p)
+        rows.append(row)
+    assert sparse_echelon_dense(rows, p, 289) == dense_echelon(rows, p)
