@@ -1,11 +1,20 @@
 """Command-line surface: every solver behind reproducible text I/O.
 
+``COMMANDS`` maps each command to its ground kinds and a row.  A row parses
+the command's options, calls its solver through the solver's module (so a
+rebound module attribute is seen) and returns the solution entries, the
+certificate or None, and the residual values as a function of entries.
+``run`` is the one path around the rows: ground check, header, solution line
+and certificate, then the round trip: the printed solution is parsed back and
+the residual values are recomputed from it; one short of the requested
+precision exits 70.  ``subgroup`` has no residual and writes its own lines.
+
 Exit codes: 0 success, 2 hypothesis violation (with the offending
-inequality), 3 stall (with the certificate prefix), 64 parse/usage
-errors, 70 resource caps and precision loss (a solution that fails its
-round-trip re-verification counts as one).  Identical invocations
-produce byte-identical reports: moduli tables are deterministic, sampled
-checks take their seed from --seed, and iteration order is fixed.
+inequality), 3 stall (with the certificate prefix), 64 parse, usage and
+syntax errors, 70 resource caps and precision loss (a failed round trip
+counts as one).  Identical invocations produce byte-identical reports:
+moduli tables are deterministic, sampled checks take their seed from
+--seed, and iteration order is fixed.
 """
 
 from __future__ import annotations
@@ -16,11 +25,12 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import diff_fields, hensel, subgroups
 from .errors import (HypothesisViolation, ParseError, PrecisionLossError,
                      ResourceCapError, StallError, UsageError)
+from .fftower import is_prime
 from .lifting import LiftCertificate
 from .matrices import ValuedMatrix
 from .padics import TruncatedPAdic, format_padic, parse_padic
@@ -49,16 +59,16 @@ class GroundSpec:
         parts = text.split(":")
         kind = parts[0]
         try:
-            if kind == "padic" and len(parts) == 3:
-                return GroundSpec("padic", p=int(parts[1]),
+            if kind in ("padic", "vdfield") and len(parts) == 3:
+                spec = GroundSpec(kind, p=int(parts[1]),
                                   precision=Fraction(parts[2]))
+                if not is_prime(spec.p):
+                    raise ParseError(f"bad ground {text!r}: p = {spec.p} is not prime")
+                return spec
             if kind == "series" and len(parts) == 4:
                 return GroundSpec("series", field_name=parts[1],
                                   denom=int(parts[2]),
                                   precision=Fraction(parts[3]))
-            if kind == "vdfield" and len(parts) == 3:
-                return GroundSpec("vdfield", p=int(parts[1]),
-                                  precision=Fraction(parts[2]))
             if kind == "rosenlicht" and len(parts) == 3:
                 return GroundSpec("rosenlicht", denom=int(parts[1]),
                                   precision=Fraction(parts[2]))
@@ -78,13 +88,9 @@ class GroundSpec:
         return f"rosenlicht(1/{self.denom} grid, O(t^{self.precision}))"
 
     def coeff_field(self):
-        if self.kind == "series":
-            return field_by_name(self.field_name)
-        if self.kind == "vdfield":
-            return field_by_name(f"f{self.p}")
-        if self.kind == "rosenlicht":
-            return field_by_name("q")
-        raise UsageError("p-adic grounds have no coefficient field")
+        if self.kind == "padic":
+            raise UsageError("p-adic grounds have no coefficient field")
+        return field_by_name(f"f{self.p}" if self.kind == "vdfield" else self.field_name)
 
     def element(self, text: str, widen: Fraction = Fraction(0)):
         """Parse a ground element.
@@ -110,9 +116,7 @@ class GroundSpec:
         return TruncatedSeries(fld, self.denom, {Fraction(0): const}, trunc)
 
     def show(self, x) -> str:
-        if isinstance(x, TruncatedPAdic):
-            return format_padic(x)
-        return format_series(x)
+        return format_padic(x) if isinstance(x, TruncatedPAdic) else format_series(x)
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -140,19 +144,6 @@ def _split_list(text: str) -> List[str]:
 
 
 @dataclass
-class JobSpec:
-    command: str
-    ground: GroundSpec
-    precision: Fraction
-    payload: Dict[str, object]
-    report: str = "text"
-    seed: int = 0
-    samples: int = 6
-    headroom: Fraction = Fraction(8)
-    tower_cap: int = 64
-
-
-@dataclass
 class Report:
     lines: List[str] = field(default_factory=list)
     data: Dict[str, object] = field(default_factory=dict)
@@ -176,213 +167,138 @@ class Report:
         return "\n".join(self.lines)
 
 
-def _poly_parser(ground: GroundSpec, widen: Fraction):
-    def parse_c(tok: str):
-        tok = tok.strip()
-        if "t^" in tok or "O(" in tok:
-            return ground.element(tok, widen)
-        if tok.startswith("("):
-            return ground.coeff_field().parse(tok)
-        return _rational(tok, "coefficient")
+class Job(argparse.Namespace):
+    """The options of one request.  ``run`` replaces the texts of --ground,
+    --precision and --headroom by their parsed values."""
 
-    return parse_c
+    def need(self, key: str):
+        val = getattr(self, key)
+        if val in (None, []):
+            flag = key.replace("_", "-").replace("polys", "poly")
+            raise UsageError(f"command {self.command} needs --{flag}")
+        return val
 
+    def element(self, text: str):
+        return self.ground.element(text, self.headroom)
 
-def run(job: JobSpec) -> Report:
-    handler = _HANDLERS.get(job.command)
-    if handler is None:
-        raise UsageError(f"unknown command {job.command!r}")
-    rep = Report()
-    rep.put("command", job.command)
-    rep.put("ground", job.ground.describe())
-    rep.put("precision", str(job.precision))
-    handler(job, rep)
-    return rep
+    def elements(self, text: str) -> list:
+        return [self.element(t) for t in _split_list(text)]
 
+    def parse_polys(self, texts: List[str], nvars: int) -> List[MultiPoly]:
+        """Series literals in a polynomial are ground elements, parenthesized
+        literals coefficient-field elements, the rest rationals."""
+        def coeff(tok: str):
+            tok = tok.strip()
+            if "t^" in tok or "O(" in tok:
+                return self.element(tok)
+            if tok.startswith("("):
+                return self.ground.coeff_field().parse(tok)
+            return _rational(tok, "coefficient")
 
-def _need(job: JobSpec, key: str) -> object:
-    val = job.payload.get(key)
-    if val in (None, []):
-        raise UsageError(f"command {job.command} needs --{key.replace('_', '-')}")
-    return val
-
-
-def _reverify(job: JobSpec, rep: Report, vals: List[Value]):
-    """Report the residual values recomputed from the printed solution; one
-    short of the requested precision is a precision shortage (exit 70)."""
-    shown = "[" + ", ".join(str(v) for v in vals) + "]"
-    ok = all(v >= Value(job.precision) for v in vals)
-    rep.put("reverified residual values", shown)
-    rep.put("reverified", ok)
-    if not ok:
-        raise PrecisionLossError(
-            f"round-trip verification failed: residual values {shown} short "
-            f"of the requested {job.precision}; supply wider inputs")
+        return [parse_poly(t, nvars, coeff) for t in texts]
 
 
-def _reverify_root(job: JobSpec, rep: Report, polys, root_texts: List[str]):
-    """Round-trip: re-parse the printed solution and recompute the residual."""
-    fresh = [job.ground.element(t) for t in root_texts]
-    _reverify(job, rep, [f.eval(fresh).value() for f in polys])
+def _roots(polys, known=()):
+    return lambda ys: [f.eval([*known, *ys]).value() for f in polys]
 
 
-def _cmd_lift1d(job: JobSpec, rep: Report):
-    if job.ground.kind not in ("padic", "series"):
-        raise UsageError("lift1d runs on padic or series grounds")
-    text = str(_need(job, "poly"))
-    poly = parse_poly(text, 1, _poly_parser(job.ground, job.headroom))
-    b = job.ground.element(str(_need(job, "point")), job.headroom)
+def _lift1d(job: Job, rep: Report):
+    poly, = job.parse_polys(job.need("polys")[:1], 1)
+    b = job.element(job.need("point"))
     root, cert = hensel.newton_1d(poly, b, Value(job.precision))
-    rep.put("solution", job.ground.show(root))
-    rep.certificate(cert)
-    _reverify_root(job, rep, [poly], [job.ground.show(root)])
+    return [root], cert, _roots([poly])
 
 
-def _cmd_liftnd(job: JobSpec, rep: Report):
-    texts = _need(job, "polys")
-    polys = [parse_poly(t, len(texts), _poly_parser(job.ground, job.headroom))
-             for t in texts]
-    pts = _split_list(str(_need(job, "point")))
-    b = ValuedVector([job.ground.element(t, job.headroom) for t in pts])
+def _liftnd(job: Job, rep: Report):
+    texts = job.need("polys")
+    polys = job.parse_polys(texts, len(texts))
+    b = ValuedVector(job.elements(job.need("point")))
     roots, cert = hensel.newton_nd(polys, b, Value(job.precision))
-    shown = [job.ground.show(x) for x in roots]
-    rep.put("solution", " ; ".join(shown))
-    rep.certificate(cert)
-    _reverify_root(job, rep, polys, shown)
+    return roots, cert, _roots(polys)
 
 
-def _cmd_implicit(job: JobSpec, rep: Report):
-    texts = _need(job, "polys")
-    n = len(texts)
-    zs = _split_list(str(_need(job, "point")))
-    xs = _split_list(str(_need(job, "target")))
-    m = len(xs)
-    polys = [parse_poly(t, m + n, _poly_parser(job.ground, job.headroom))
-             for t in texts]
-    z = [job.ground.element(t, job.headroom) for t in zs]
-    x_new = [job.ground.element(t, job.headroom) for t in xs]
+def _implicit(job: Job, rep: Report):
+    texts, zs = job.need("polys"), job.need("point")
+    xs = _split_list(job.need("target"))
+    polys = job.parse_polys(texts, len(xs) + len(texts))
+    z = job.elements(zs)
+    x_new = [job.element(t) for t in xs]
     ys, cert = hensel.implicit_fn(polys, z, x_new, Value(job.precision))
-    shown = [job.ground.show(y) for y in ys]
-    rep.put("solution", " ; ".join(shown))
-    rep.certificate(cert)
-    fresh = x_new + [job.ground.element(t) for t in shown]
-    _reverify(job, rep, [f.eval(fresh).value() for f in polys])
+    return ys, cert, _roots(polys, x_new)
 
 
-def _cmd_pinv_lift(job: JobSpec, rep: Report):
-    texts = _need(job, "polys")
-    polys = [parse_poly(t, len(texts), _poly_parser(job.ground, job.headroom))
-             for t in texts]
-    pts = _split_list(str(_need(job, "point")))
-    b = ValuedVector([job.ground.element(t, job.headroom) for t in pts])
-    rows = [[job.ground.element(e, job.headroom) for e in _split_list(row)]
-            for row in str(_need(job, "pseudo_inverse")).split("|")]
-    Mo = ValuedMatrix(rows)
+def _pinv_lift(job: Job, rep: Report):
+    texts = job.need("polys")
+    polys = job.parse_polys(texts, len(texts))
+    b = ValuedVector(job.elements(job.need("point")))
+    Mo = ValuedMatrix([job.elements(row)
+                       for row in job.need("pseudo_inverse").split("|")])
     roots, cert = hensel.pseudo_inverse_lift(polys, b, Mo, Value(job.precision))
-    shown = [job.ground.show(x) for x in roots]
-    rep.put("solution", " ; ".join(shown))
-    rep.certificate(cert)
-    _reverify_root(job, rep, polys, shown)
+    return roots, cert, _roots(polys)
 
 
-def _cmd_invert_series(job: JobSpec, rep: Report):
-    if job.ground.kind != "series":
-        raise UsageError("invert-series runs on series grounds")
+def _invert_series(job: Job, rep: Report):
     fld = job.ground.coeff_field()
-    coeffs = [fld.parse(t) for t in _split_list(str(_need(job, "coeffs")))]
-    z = job.ground.element(str(_need(job, "target")), job.headroom)
+    coeffs = [fld.parse(t) for t in _split_list(job.need("coeffs"))]
+    z = job.element(job.need("target"))
     root, cert = hensel.series_invert(coeffs, z, Value(job.precision))
-    rep.put("solution", job.ground.show(root))
-    rep.certificate(cert)
-    fresh = job.ground.element(job.ground.show(root))
-    acc = fresh.zero_like()
-    power = fresh.one_like()
-    for c in coeffs:
-        power = power * fresh
-        acc = acc + power * c
-    _reverify(job, rep, [(acc - z).value()])
+    terms = {(i,): c for i, c in enumerate(coeffs, start=1)}
+    return [root], cert, _roots([MultiPoly(1, {(0,): -z, **terms})])
 
 
-def _vd_instance(job: JobSpec) -> diff_fields.VDFieldInstance:
-    return diff_fields.VDFieldInstance(
-        p=job.ground.p, trunc=job.ground.precision + job.headroom,
-        tower_degree_cap=job.tower_cap)
+def _instance(job: Job):
+    trunc = job.ground.precision + job.headroom
+    if job.ground.kind == "vdfield":
+        return diff_fields.VDFieldInstance(p=job.ground.p, trunc=trunc,
+                                           tower_degree_cap=job.tower_cap)
+    return diff_fields.RosenlichtInstance(denom=job.ground.denom, trunc=trunc)
 
 
-def _cmd_dsolve(job: JobSpec, rep: Report):
-    if job.ground.kind != "vdfield":
-        raise UsageError("dsolve runs on vdfield grounds")
-    inst = _vd_instance(job)
-    target = job.ground.element(str(_need(job, "target")), job.headroom)
-    sol = diff_fields.d_solve(inst, target, Value(job.precision))
-    rep.put("solution", format_series(sol))
-    fresh = parse_series(format_series(sol), inst.field, inst.denom)
-    _reverify(job, rep, [(target - inst.D(fresh)).value()])
+def _antiderivative(job: Job, rep: Report):
+    """dsolve and integrate: D y = target on the ground's instance."""
+    inst = _instance(job)
+    target = job.element(job.need("target"))
+    solve = diff_fields.d_solve if job.command == "dsolve" else diff_fields.integrate
+    y = solve(inst, target, Value(job.precision))
+    return [y], None, lambda ys: [(target - inst.D(ys[0])).value()]
 
 
-def _cmd_dhensel(job: JobSpec, rep: Report):
-    if job.ground.kind != "vdfield":
-        raise UsageError("dhensel runs on vdfield grounds")
-    inst = _vd_instance(job)
-    nvars = _integers(str(job.payload.get("nvars") or 2), "--nvars")[0]
-    poly = parse_poly(str(_need(job, "poly")), nvars,
-                      _poly_parser(job.ground, job.headroom))
-    b = job.ground.element(str(job.payload.get("point") or "0"), job.headroom)
-    rng = random.Random(job.seed)
-    root, cert = diff_fields.dhensel_solve(inst, poly, b, Value(job.precision),
-                                           rng=rng, samples=job.samples)
-    rep.put("solution", format_series(root))
-    rep.certificate(cert)
-    fresh = parse_series(format_series(root), inst.field, inst.denom)
-    point = [inst.D_iter(fresh, i) for i in range(nvars)]
-    _reverify(job, rep, [poly.eval(point).value()])
+def _dhensel(job: Job, rep: Report):
+    inst = _instance(job)
+    nvars = _integers(str(job.nvars or 2), "--nvars")[0]
+    poly, = job.parse_polys(job.need("polys")[:1], nvars)
+    b = job.element(job.point or "0")
+    y, cert = diff_fields.dhensel_solve(inst, poly, b, Value(job.precision),
+                                        rng=random.Random(job.seed),
+                                        samples=job.samples)
+    return [y], cert, lambda ys: [
+        poly.eval([inst.D_iter(ys[0], i) for i in range(nvars)]).value()]
 
 
-def _ros_instance(job: JobSpec) -> diff_fields.RosenlichtInstance:
-    return diff_fields.RosenlichtInstance(
-        denom=job.ground.denom, trunc=job.ground.precision + job.headroom)
-
-
-def _cmd_integrate(job: JobSpec, rep: Report):
-    if job.ground.kind != "rosenlicht":
-        raise UsageError("integrate runs on rosenlicht grounds")
-    inst = _ros_instance(job)
-    target = job.ground.element(str(_need(job, "target")), job.headroom)
-    sol = diff_fields.integrate(inst, target, Value(job.precision))
-    rep.put("solution", format_series(sol))
-    fresh = parse_series(format_series(sol), inst.field, inst.denom)
-    _reverify(job, rep, [(target - inst.D(fresh)).value()])
-
-
-def _cmd_ode(job: JobSpec, rep: Report):
-    if job.ground.kind != "rosenlicht":
-        raise UsageError("ode runs on rosenlicht grounds")
-    inst = _ros_instance(job)
-    nvars = _integers(str(job.payload.get("nvars") or 2), "--nvars")[0]
-    g = parse_poly(str(_need(job, "poly")), nvars,
-                   _poly_parser(job.ground, job.headroom))
-    c = job.ground.element(str(_need(job, "target")), job.headroom)
-    r = _rational(str(_need(job, "r")), "--r")
-    route = str(job.payload.get("route") or "dominant")
-    rng = random.Random(job.seed)
+def _ode(job: Job, rep: Report):
+    inst = _instance(job)
+    nvars = _integers(str(job.nvars or 2), "--nvars")[0]
+    g, = job.parse_polys(job.need("polys")[:1], nvars)
+    c = job.element(job.need("target"))
+    r = _rational(job.need("r"), "--r")
     y, cert = diff_fields.ode_solve(inst, g, c, r, Value(job.precision),
-                                    route=route, rng=rng, samples=job.samples)
-    rep.put("solution", format_series(y))
-    rep.certificate(cert)
-    fresh = parse_series(format_series(y), inst.field, inst.denom)
-    _reverify(job, rep, [diff_fields.ode_residual(inst, g, c, fresh).value()])
+                                    route=job.route or "dominant",
+                                    rng=random.Random(job.seed),
+                                    samples=job.samples)
+    return [y], cert, lambda ys: [diff_fields.ode_residual(inst, g, c, ys[0]).value()]
 
 
-def _cmd_subgroup(job: JobSpec, rep: Report):
-    if job.ground.kind != "series" or job.ground.denom != 1:
+def _subgroup(job: Job, rep: Report):
+    """No residual to re-verify: the row writes its own report lines."""
+    if job.ground.denom != 1:
         raise UsageError("subgroup runs on integer-grid series grounds")
     fld = job.ground.coeff_field()
     if not hasattr(fld, "p"):
         raise UsageError("subgroup needs a finite coefficient field")
-    lo, hi = _integers(str(_need(job, "window")), "--window", 2)
+    lo, hi = _integers(job.need("window"), "--window", 2)
     widen = Fraction(max(0, hi) + job.headroom * (hi - lo))
     polys = []
-    for spec in _need(job, "addpolys"):
+    for spec in job.need("addpolys"):
         coeffs = tuple(job.ground.element(t, widen) for t in _split_list(spec))
         polys.append(subgroups.AdditivePoly(fld.p, coeffs))
     spaces = [subgroups.image_window(f, (lo, hi)) for f in polys]
@@ -394,9 +310,8 @@ def _cmd_subgroup(job: JobSpec, rep: Report):
     if not verdict.ok:
         rep.put("witness (window coordinates)", str(list(verdict.witness)))
         rep.put("witness value", str(verdict.witness_value))
-    approx_text = job.payload.get("approx")
-    if approx_text:
-        a = job.ground.element(str(approx_text), widen)
+    if job.approx:
+        a = job.ground.element(job.approx, widen)
         res = subgroups.optimal_approx(a, spaces, (lo, hi))
         rep.put("best approximation (window coordinates)", str(list(res.best)))
         achieved = f">= {hi}" if res.at_window_top else str(res.achieved)
@@ -404,26 +319,73 @@ def _cmd_subgroup(job: JobSpec, rep: Report):
         rep.put("approximation certified optimal", res.pseudo_direct)
 
 
-_HANDLERS = {
-    "lift1d": _cmd_lift1d,
-    "liftnd": _cmd_liftnd,
-    "implicit": _cmd_implicit,
-    "pinv-lift": _cmd_pinv_lift,
-    "invert-series": _cmd_invert_series,
-    "dsolve": _cmd_dsolve,
-    "dhensel": _cmd_dhensel,
-    "integrate": _cmd_integrate,
-    "ode": _cmd_ode,
-    "subgroup": _cmd_subgroup,
+_ANY = ("padic", "series", "vdfield", "rosenlicht")
+
+# command -> (ground kinds it runs on, row)
+COMMANDS = {
+    "lift1d": (("padic", "series"), _lift1d),
+    "liftnd": (_ANY, _liftnd),
+    "implicit": (_ANY, _implicit),
+    "pinv-lift": (_ANY, _pinv_lift),
+    "invert-series": (("series",), _invert_series),
+    "dsolve": (("vdfield",), _antiderivative),
+    "dhensel": (("vdfield",), _dhensel),
+    "integrate": (("rosenlicht",), _antiderivative),
+    "ode": (("rosenlicht",), _ode),
+    "subgroup": (("series",), _subgroup),
 }
 
 
+def run(job: Job) -> Report:
+    """One request through its row, the report and the round trip."""
+    job.ground = GroundSpec.parse(job.ground)
+    job.precision = (_rational(job.precision, "--precision") if job.precision
+                     else job.ground.precision)
+    if job.precision <= 0:
+        raise UsageError("precision must be positive")
+    job.headroom = _rational(job.headroom, "--headroom")
+    if job.samples < 1:
+        raise ParseError(f"--samples must be at least 1, not {job.samples}")
+    kinds, row = COMMANDS[job.command]
+    if job.ground.kind not in kinds:
+        raise UsageError(f"{job.command} runs on {' or '.join(kinds)} grounds")
+    rep = Report()
+    rep.put("command", job.command)
+    rep.put("ground", job.ground.describe())
+    rep.put("precision", str(job.precision))
+    solved = row(job, rep)
+    if solved is None:
+        return rep
+    entries, cert, residuals = solved
+    shown = [job.ground.show(x) for x in entries]
+    rep.put("solution", " ; ".join(shown))
+    if cert is not None:
+        rep.certificate(cert)
+    vals = residuals([job.ground.element(t) for t in shown])
+    listed = "[" + ", ".join(str(v) for v in vals) + "]"
+    ok = all(v >= Value(job.precision) for v in vals)
+    rep.put("reverified residual values", listed)
+    rep.put("reverified", ok)
+    if not ok:
+        raise PrecisionLossError(
+            f"round-trip verification failed: residual values {listed} short "
+            f"of the requested {job.precision}; supply wider inputs")
+    return rep
+
+
+class _Parser(argparse.ArgumentParser):
+    """Syntax errors raise ParseError (exit 64), in subparsers too."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ultralift",
         description="finite-precision Hensel/Newton lifting over valued fields")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--ground", required=True)
         sp.add_argument("--precision", default=None)
@@ -449,37 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def job_from_args(args) -> JobSpec:
-    ground = GroundSpec.parse(args.ground)
-    precision = (_rational(args.precision, "--precision") if args.precision
-                 else ground.precision)
-    if precision <= 0:
-        raise UsageError("precision must be positive")
-    payload = {
-        "polys": args.polys,
-        "poly": args.polys[0] if args.polys else None,
-        "point": args.point,
-        "target": args.target,
-        "coeffs": args.coeffs,
-        "pseudo_inverse": args.pseudo_inverse,
-        "r": args.r,
-        "route": args.route,
-        "nvars": args.nvars,
-        "addpolys": args.addpolys,
-        "window": args.window,
-        "approx": args.approx,
-    }
-    return JobSpec(command=args.command, ground=ground, precision=precision,
-                   payload=payload, report=args.report, seed=args.seed,
-                   samples=args.samples, tower_cap=args.tower_cap,
-                   headroom=_rational(args.headroom, "--headroom"))
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        job = job_from_args(args)
+        job = ap.parse_args(argv, namespace=Job())
         rep = run(job)
     except (ParseError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

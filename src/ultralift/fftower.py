@@ -124,6 +124,15 @@ def _is_irreducible(g, p):
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Trial division below 10^12, sympy's test above (imported only then)."""
+    if n >= 10**12:
+        from sympy import isprime
+
+        return bool(isprime(n))
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 _FACTOR_CACHE = {}
 
 
@@ -170,7 +179,7 @@ class FFTower:
     """Registry of compatible moduli and embeddings for one prime p."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise UsageError(f"p = {p} is not prime")
         self.p = p
         self._moduli = {}

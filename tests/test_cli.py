@@ -1,13 +1,15 @@
 """CLI surface: documented examples, exit codes, determinism, round-trip."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from ultralift import cli, hensel
+from ultralift import cli, diff_fields, hensel
 from ultralift.errors import StallError
 from ultralift.lifting import LiftCertificate
 from ultralift.padics import TruncatedPAdic, parse_padic
+from ultralift.series import TruncatedSeries
 
 
 def run_cli(capsys, *argv):
@@ -97,11 +99,51 @@ def test_boundary_hypothesis_exits_2(capsys):
     pytest.param(["subgroup", "--ground", "series:f2:1:20", "--addpoly", "0;1",
                   "--window", "6"],
                  "bad --window", id="window-without-colon"),
+    # command-line syntax errors
+    pytest.param([], "required: command", id="no-command"),
+    pytest.param(["lift1d", "--poly", "1*X0^2 + -7", "--point", "1"],
+                 "required: --ground", id="no-ground"),
+    pytest.param(["lift2d", "--ground", "padic:3:12"], "invalid choice",
+                 id="unknown-command"),
+    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1", "--seed", "x"], "--seed", id="seed-not-integer"),
+    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1", "--report", "xml"], "--report", id="unknown-report"),
+    pytest.param(["dsolve", "--ground", "vdfield:2:8", "--target", "1*t^(1) + O(t^(8))",
+                  "--tower-cap", "q"], "--tower-cap", id="tower-cap-not-integer"),
+    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1", "--bogus", "1"], "unrecognized", id="unknown-option"),
+    pytest.param(["subgroup", "--ground", "series:f2:1:20", "--addpoly", "0;1",
+                  "--window", "-5:0"], "--window", id="window-read-as-option"),
+    # the p of a p-adic ground must be prime
+    pytest.param(["lift1d", "--ground", "padic:0:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1"], "not prime", id="padic-p-zero"),
+    pytest.param(["lift1d", "--ground", "padic:1:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1"], "not prime", id="padic-p-one"),
+    pytest.param(["lift1d", "--ground", "padic:4:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1"], "not prime", id="padic-p-four"),
 ])
 def test_parse_error_exits_64(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
     assert code == 64
     assert message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lift1d", "--help"])
+    assert exc.value.code == 0
+    assert "--ground" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_exits_64(capsys, samples):
+    # no sampled axiom check would draw anything, so nothing is certified
+    code, out, err = run_cli(capsys, "dhensel", "--ground", "vdfield:2:16",
+                             "--poly", "1*X1^2 + 1*X1 + -1*{1*t^(1) + O(t^(16))}",
+                             "--point", "0", "--samples", samples)
+    assert code == 64 and out == ""
+    assert "--samples" in err
 
 
 def test_missing_payload_exits_64(capsys):
@@ -137,11 +179,11 @@ def test_dhensel_non_surjective_residue_exits_2(capsys):
 
 
 def test_stall_exit_code_mapping(capsys, monkeypatch):
-    def stall(job, rep):
+    def stall(*args):
         raise StallError("synthetic stall",
                          certificate=LiftCertificate((), None, None, "stalled"))
 
-    monkeypatch.setitem(cli._HANDLERS, "lift1d", stall)
+    monkeypatch.setattr(hensel, "newton_1d", stall)
     code, out, _ = run_cli(capsys, "lift1d", "--ground", "padic:3:10",
                            "--poly", "1*X0", "--point", "0")
     assert code == 3
@@ -227,25 +269,75 @@ def test_stated_truncation_is_not_fabricated_past(capsys):
     assert code == 70
 
 
-@pytest.mark.parametrize("solver, argv", [
-    # _reverify_root path
-    ("newton_1d", ("lift1d", "--ground", "padic:3:12",
-                   "--poly", "1*X0^2 + -7", "--point", "1")),
-    # inline re-verification path
-    ("series_invert", ("invert-series", "--ground", "series:q:1:12",
-                       "--coeffs", "1;1", "--target", "1*t^(1) + O(t^(12))")),
-])
-def test_failed_reverification_exits_70(capsys, monkeypatch, solver, argv):
-    real = getattr(hensel, solver)
+# every solving command, the solver it calls, and the requested precision
+SOLVING = [
+    pytest.param(hensel, "newton_1d", 12,
+                 ("lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1"), id="lift1d"),
+    pytest.param(hensel, "newton_nd", 10,
+                 ("liftnd", "--ground", "padic:3:12", "--precision", "10",
+                  "--poly", "1*X0^2 + -7", "--poly", "1*X1^2 + -1*X0",
+                  "--point", "1;1"), id="liftnd"),
+    pytest.param(hensel, "implicit_fn", 10,
+                 ("implicit", "--ground", "padic:3:12", "--poly", "1*X1^2 + -1*X0 + -1",
+                  "--point", "0;1", "--target", "9", "--precision", "10"), id="implicit"),
+    pytest.param(hensel, "pseudo_inverse_lift", 10,
+                 ("pinv-lift", "--ground", "padic:3:12", "--poly", "1*X0 + -9",
+                  "--point", "0", "--pseudo-inverse", "1", "--precision", "10"),
+                 id="pinv-lift"),
+    pytest.param(hensel, "series_invert", 12,
+                 ("invert-series", "--ground", "series:q:1:12", "--coeffs", "1;1",
+                  "--target", "1*t^(1) + O(t^(12))"), id="invert-series"),
+    pytest.param(diff_fields, "d_solve", 10,
+                 ("dsolve", "--ground", "vdfield:2:10",
+                  "--target", "1*t^(1) + O(t^(10))"), id="dsolve"),
+    pytest.param(diff_fields, "dhensel_solve", 10,
+                 ("dhensel", "--ground", "vdfield:2:10", "--nvars", "2",
+                  "--poly", "1*X1^2 + 1*X1 + -1*{1*t^(2) + O(t^(10))}",
+                  "--point", "0"), id="dhensel"),
+    pytest.param(diff_fields, "integrate", 20,
+                 ("integrate", "--ground", "rosenlicht:1:20",
+                  "--target", "1*t^(0) + 1*t^(3) + O(t^(20))"), id="integrate"),
+    pytest.param(diff_fields, "ode_solve", 21,
+                 ("ode", "--ground", "rosenlicht:1:24", "--nvars", "2", "--r", "2",
+                  "--precision", "21", "--poly", "1*X0^2",
+                  "--target", "1*t^(2) + O(t^(24))"), id="ode"),
+]
 
-    def one_digit_short(*args):
-        root, cert = real(*args)
-        return root.truncate(11), cert
 
-    monkeypatch.setattr(hensel, solver, one_digit_short)
+@pytest.mark.parametrize("module, solver, precision, argv", SOLVING)
+def test_failed_reverification_exits_70(capsys, monkeypatch, module, solver,
+                                        precision, argv):
+    real = getattr(module, solver)
+
+    def cut(x):
+        if isinstance(x, (TruncatedPAdic, TruncatedSeries)):
+            return x.truncate(precision - 1)
+        return [cut(e) for e in x]
+
+    def one_unit_short(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return (cut(out[0]), out[1]) if isinstance(out, tuple) else cut(out)
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "reverified: True" in out
+    monkeypatch.setattr(module, solver, one_unit_short)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 70
     assert "round-trip verification failed" in out
+
+
+REPORTS = json.loads((Path(__file__).parent / "data" / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", REPORTS,
+                         ids=[f"{c['argv'][0]}-{c['argv'][-1]}" for c in REPORTS])
+def test_reports_unchanged(capsys, case):
+    """One documented invocation per command in each report mode, against
+    stored stdout bytes: any change to a report fails here."""
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
 
 
 def _solution(out):
