@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from . import diff_fields, hensel, subgroups
 from .errors import (HypothesisViolation, ParseError, PrecisionLossError,
@@ -87,33 +88,30 @@ class GroundSpec:
             return f"vdfield({self.p}, O(t^{self.precision}))"
         return f"rosenlicht(1/{self.denom} grid, O(t^{self.precision}))"
 
-    def coeff_field(self):
+    def coeff_field(self, level_cap: Optional[int] = None):
         if self.kind == "padic":
             raise UsageError("p-adic grounds have no coefficient field")
-        return field_by_name(f"f{self.p}" if self.kind == "vdfield" else self.field_name)
+        return field_by_name(f"f{self.p}" if self.kind == "vdfield" else self.field_name,
+                             level_cap)
 
-    def element(self, text: str, widen: Fraction = Fraction(0)):
-        """Parse a ground element.
-
-        Literals without a big-O marker are exact, so headroom widening
-        applies to them; a literal that states its own truncation order is
-        taken at its word (fabricating digits past it would be unsound)."""
+    def element(self, text: str, order: Fraction, level_cap: Optional[int] = None):
+        """Parse a ground element: a literal with a big-O marker is taken at
+        its word (padding it would invent digits), an exact one is read
+        modulo ``order``, and tower coefficients by ``coeff_field(level_cap)``."""
         text = text.strip()
         if self.kind == "padic":
-            n = int(self.precision + widen)
             if "O(" in text:
                 a = parse_padic(text)
                 if a.p != self.p:
                     raise ParseError(f"literal is {a.p}-adic, ground is {self.p}-adic")
                 return a
             return TruncatedPAdic.from_rational(
-                self.p, _rational(text, "p-adic literal"), n)
-        fld = self.coeff_field()
-        trunc = self.precision + widen
+                self.p, _rational(text, "p-adic literal"), math.ceil(order))
+        fld = self.coeff_field(level_cap)
         if "O(" in text:
             return parse_series(text, fld, self.denom)
         const = _rational(text, "series literal")
-        return TruncatedSeries(fld, self.denom, {Fraction(0): const}, trunc)
+        return TruncatedSeries(fld, self.denom, {Fraction(0): const}, order)
 
     def show(self, x) -> str:
         return format_padic(x) if isinstance(x, TruncatedPAdic) else format_series(x)
@@ -168,8 +166,9 @@ class Report:
 
 
 class Job(argparse.Namespace):
-    """The options of one request.  ``run`` replaces the texts of --ground,
-    --precision and --headroom by their parsed values."""
+    """The options of one request.  ``run`` parses --ground and --precision
+    and sets ``order`` = max(ground precision, --precision): exact literals
+    are read modulo it, and only a solver's iterate is carried past it."""
 
     def need(self, key: str):
         val = getattr(self, key)
@@ -178,8 +177,11 @@ class Job(argparse.Namespace):
             raise UsageError(f"command {self.command} needs --{flag}")
         return val
 
-    def element(self, text: str):
-        return self.ground.element(text, self.headroom)
+    def field(self):
+        return self.ground.coeff_field(self.tower_cap)
+
+    def element(self, text: str, order: Optional[Fraction] = None):
+        return self.ground.element(text, order or self.order, self.tower_cap)
 
     def elements(self, text: str) -> list:
         return [self.element(t) for t in _split_list(text)]
@@ -192,7 +194,7 @@ class Job(argparse.Namespace):
             if "t^" in tok or "O(" in tok:
                 return self.element(tok)
             if tok.startswith("("):
-                return self.ground.coeff_field().parse(tok)
+                return self.field().parse(tok)
             return _rational(tok, "coefficient")
 
         return [parse_poly(t, nvars, coeff) for t in texts]
@@ -238,7 +240,7 @@ def _pinv_lift(job: Job, rep: Report):
 
 
 def _invert_series(job: Job, rep: Report):
-    fld = job.ground.coeff_field()
+    fld = job.field()
     coeffs = [fld.parse(t) for t in _split_list(job.need("coeffs"))]
     z = job.element(job.need("target"))
     root, cert = hensel.series_invert(coeffs, z, Value(job.precision))
@@ -247,11 +249,10 @@ def _invert_series(job: Job, rep: Report):
 
 
 def _instance(job: Job):
-    trunc = job.ground.precision + job.headroom
     if job.ground.kind == "vdfield":
-        return diff_fields.VDFieldInstance(p=job.ground.p, trunc=trunc,
+        return diff_fields.VDFieldInstance(p=job.ground.p, trunc=job.order,
                                            tower_degree_cap=job.tower_cap)
-    return diff_fields.RosenlichtInstance(denom=job.ground.denom, trunc=trunc)
+    return diff_fields.RosenlichtInstance(denom=job.ground.denom, trunc=job.order)
 
 
 def _antiderivative(job: Job, rep: Report):
@@ -292,14 +293,15 @@ def _subgroup(job: Job, rep: Report):
     """No residual to re-verify: the row writes its own report lines."""
     if job.ground.denom != 1:
         raise UsageError("subgroup runs on integer-grid series grounds")
-    fld = job.ground.coeff_field()
+    fld = job.field()
     if not hasattr(fld, "p"):
         raise UsageError("subgroup needs a finite coefficient field")
     lo, hi = _integers(job.need("window"), "--window", 2)
-    widen = Fraction(max(0, hi) + job.headroom * (hi - lo))
     polys = []
     for spec in job.need("addpolys"):
-        coeffs = tuple(job.ground.element(t, widen) for t in _split_list(spec))
+        texts = _split_list(spec)
+        order = subgroups.input_range(fld.p, len(texts) - 1, (lo, hi))[1]
+        coeffs = tuple(job.element(t, order) for t in texts)
         polys.append(subgroups.AdditivePoly(fld.p, coeffs))
     spaces = [subgroups.image_window(f, (lo, hi)) for f in polys]
     for i, s in enumerate(spaces):
@@ -311,7 +313,7 @@ def _subgroup(job: Job, rep: Report):
         rep.put("witness (window coordinates)", str(list(verdict.witness)))
         rep.put("witness value", str(verdict.witness_value))
     if job.approx:
-        a = job.ground.element(job.approx, widen)
+        a = job.element(job.approx, max(job.order, hi))
         res = subgroups.optimal_approx(a, spaces, (lo, hi))
         rep.put("best approximation (window coordinates)", str(list(res.best)))
         achieved = f">= {hi}" if res.at_window_top else str(res.achieved)
@@ -343,7 +345,7 @@ def run(job: Job) -> Report:
                      else job.ground.precision)
     if job.precision <= 0:
         raise UsageError("precision must be positive")
-    job.headroom = _rational(job.headroom, "--headroom")
+    job.order = max(job.ground.precision, job.precision)
     if job.samples < 1:
         raise ParseError(f"--samples must be at least 1, not {job.samples}")
     kinds, row = COMMANDS[job.command]
@@ -361,7 +363,8 @@ def run(job: Job) -> Report:
     rep.put("solution", " ; ".join(shown))
     if cert is not None:
         rep.certificate(cert)
-    vals = residuals([job.ground.element(t) for t in shown])
+    # --tower-cap bounds the inputs; the printed solution is read back as is
+    vals = residuals([job.ground.element(t, job.order) for t in shown])
     listed = "[" + ", ".join(str(v) for v in vals) + "]"
     ok = all(v >= Value(job.precision) for v in vals)
     rep.put("reverified residual values", listed)
@@ -406,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=int, default=6)
-        sp.add_argument("--headroom", default="8")
         sp.add_argument("--tower-cap", dest="tower_cap", type=int, default=64)
     return ap
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -45,11 +45,12 @@ class VDFieldInstance:
     p: int
     trunc: Fraction = Fraction(12)
     denom: int = 1
-    tower_degree_cap: int = 64
+    tower_degree_cap: InitVar[int] = 64
 
-    def __post_init__(self):
+    def __post_init__(self, tower_degree_cap):
         object.__setattr__(self, "trunc", _frac(self.trunc))
-        self.field = TowerField(self.p)
+        # the field holds the cap: on literal levels and additive-solve degrees
+        self.field = TowerField(self.p, level_cap=tower_degree_cap)
         self.tower = self.field.tower
 
     def series(self, terms, trunc=None) -> TruncatedSeries:
@@ -156,7 +157,7 @@ def d_solve(inst: VDFieldInstance, a_prime: TruncatedSeries, precision) -> Trunc
         if e >= precision:
             break
         terms[e] = additive_poly_solve([minus_one, one], c,
-                                       degree_cap=inst.tower_degree_cap)
+                                       degree_cap=inst.field.level_cap)
     return inst.series(terms, trunc=precision)
 
 
@@ -184,7 +185,7 @@ def _vd_residue_solver(inst: VDFieldInstance):
         if all(b.is_zero() for b in bs):
             return None
         try:
-            return additive_poly_solve(bs, target, degree_cap=inst.tower_degree_cap)
+            return additive_poly_solve(bs, target, degree_cap=inst.field.level_cap)
         except ResourceCapError:
             return None
 
@@ -353,15 +354,14 @@ def ode_solve(inst: RosenlichtInstance, g: MultiPoly, c: TruncatedSeries,
             u = integrate(inst, u)
         return u
 
-    vc_amt = vc.amount if vc.is_finite else _frac(c.trunc)
-    ball_floor = vc_amt + n
+    ball_floor = vc.amount + n
 
     def sampler(rng_):
         return random_series(inst.field, grid, c.trunc + n, rng_,
                              min_exp=ball_floor, max_terms=4)
 
     if route == "dominant":
-        e = TruncatedSeries(inst.field, grid, {vc_amt + n: 1}, c.trunc + n + 1)
+        e = TruncatedSeries(inst.field, grid, {vc.amount + n: 1}, c.trunc + n + 1)
     elif route == "rosenlicht":
         e = TruncatedSeries(inst.field, grid, {r + 1: 1}, c.trunc + n + 1)
     else:

@@ -1,13 +1,14 @@
 """One- and multi-dimensional Newton lifting, the implicit function
 theorem, pseudo-inverse lifting, and compositional inversion of series.
 
-Every solver checks its hypotheses and builds its uniqueness ball at the
-original point b.  ``newton_1d``, ``newton_nd`` (and ``implicit_fn``) and
-``series_invert`` then refresh the slope at each iterate y (f'(y), or J(y)
-with its determinant and adjugate), so N digits take O(log N) steps.  The
-iterate is only a candidate, carried at a working precision derived from
-the requested one and v(s); the coefficients and the target keep their
-stated caps, so every residual target - f(y) certifies against the inputs.
+Every solver builds its uniqueness ball at the point b as given.
+``newton_1d``, ``newton_nd`` (and ``implicit_fn``) and ``series_invert``
+refresh the slope at each iterate y (f'(y), or J(y) with its determinant
+and adjugate), so N digits take O(log N) steps.  The iterate is only a
+candidate, carried at the working precision precision + 2 v(s) + 1, where
+``newton_1d`` and ``newton_nd`` also read v f(b) when b's own cap fixes it
+for every lift of b; the coefficients and the target keep their stated
+caps, so every residual target - f(y) certifies against the inputs.
 ``pseudo_inverse_lift`` keeps M° frozen: the paper certifies it, like the
 differential solvers, in a pseudo-linear setting with no determinant.
 """
@@ -128,7 +129,6 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
     if not value_at_least(b, 0):
         raise HypothesisViolation("the start must lie in the valuation ring",
                                   vb=str(b.value()))
-    fb = f.eval([b])
     df = f.partial(0)
     s = df.eval([b])
     if s.is_zero_mod_precision():
@@ -136,24 +136,25 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
             "f'(b) vanishes modulo precision; no pseudo-slope available",
             cap=str(s.precision_cap()))
     vs = s.value()
+    work = precision + 2 * vs + 1
+    start = _pad(b, work)
+    # lifts of b differ in f by value >= vs + cap(b), past 2 vs when
+    # cap(b) > vs: only then may the padded start decide the hypothesis
+    fb = f.eval([start if b.precision_cap() > vs else b])
     if not value_exceeds(fb, 2 * vs):
         raise HypothesisViolation(
             f"need v f(b) > 2 v f'(b): got {fb.value()} <= {2 * vs}",
             vfb=str(fb.value()), two_vs=str(2 * vs))
-    ball = Ball(b, vs, strict=True)
-    work = precision + 2 * vs + 1
-    start = _pad(b, work)
     root, cert = newton_drive(
         lambda y: f.eval([y]),
         lambda y, r: _pad(r / df.eval([y]), work),
         start,
         _zero_like(start),
         precision,
-        uniqueness_ball=ball,
+        uniqueness_ball=Ball(b, vs, strict=True),
     )
-    if not fb.is_zero_mod_precision():
-        _check_gap(root, b, fb.value() - vs, precision - vs,
-                   "value identity v(a-b) = vf(b) - vf'(b)")
+    _check_gap(root, b, fb.value() - vs, precision - vs,
+               "value identity v(a-b) = vf(b) - vf'(b)")
     # the returned representative carries `precision` digits: every element
     # of its accuracy class (width precision - vs) keeps v f(a) >= precision
     return clip_accuracy(root, precision), cert
@@ -188,12 +189,6 @@ def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
             "singular: det J_f(b) vanishes modulo precision",
             kind="singular", cap=str(s.precision_cap()))
     vs = s.value()
-    fb = ValuedVector([f.eval(list(b)) for f in fs])
-    if not (fb.is_zero_mod_precision() or fb.value() > 2 * vs):
-        raise HypothesisViolation(
-            f"need v f(b) > 2 v det J_f(b): got {fb.value()} <= {2 * vs}",
-            vfb=str(fb.value()), two_vs=str(2 * vs))
-
     work = precision + 2 * vs + 1
 
     def fmap(y: ValuedVector) -> ValuedVector:
@@ -205,13 +200,18 @@ def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
         return _pad(ValuedVector([x / det for x in Jy.adjugate().apply(r)]), work)
 
     start = _pad(b, work)
+    # J is integral, so lifts of b differ in f by value >= cap(b): the
+    # padded start may decide the hypothesis only when cap(b) > 2 v(s)
+    fb = fmap(start if b.precision_cap() > 2 * vs else b)
+    if not value_exceeds(fb, 2 * vs):
+        raise HypothesisViolation(
+            f"need v f(b) > 2 v det J_f(b): got {fb.value()} <= {2 * vs}",
+            vfb=str(fb.value()), two_vs=str(2 * vs))
     target = ValuedVector([_zero_like(x) for x in start])
     root, cert = newton_drive(fmap, companion, start, target, precision,
                               uniqueness_ball=Ball(b, vs, strict=True))
-    g_b = J.adjugate().apply(fb)
-    if not g_b.is_zero_mod_precision():
-        _check_gap(root, b, g_b.value() - vs, precision - vs,
-                   "value identity v(a-b) = v(J*f(b)) - v det J")
+    _check_gap(root, b, J.adjugate().apply(fb).value() - vs, precision - vs,
+               "value identity v(a-b) = v(J*f(b)) - v det J")
     return clip_accuracy(root, precision), cert
 
 
@@ -252,11 +252,10 @@ def implicit_fn(fs: Sequence[MultiPoly], z, x_new, precision) -> tuple:
     y0 = ValuedVector(z[m:])
     roots, cert = newton_nd(gs, y0, precision)
     moved = roots - y0
-    if not moved.is_zero_mod_precision():
-        if not moved.value() >= shift - vdet:
-            raise HypothesisViolation(
-                f"bound min v(y - y') >= min v(x - x') - v det J(z) failed: "
-                f"{moved.value()} < {shift - vdet}")
+    if not (moved.is_zero_mod_precision() or moved.value() >= shift - vdet):
+        raise HypothesisViolation(
+            f"bound min v(y - y') >= min v(x - x') - v det J(z) failed: "
+            f"{moved.value()} < {shift - vdet}")
     return roots, cert
 
 
@@ -308,8 +307,7 @@ def pseudo_inverse_lift(fs: Sequence[MultiPoly], b, Mo: ValuedMatrix,
         precision,
         uniqueness_ball=ball,
     )
-    if not fb.is_zero_mod_precision():
-        _check_gap(root, b, fb.value(), precision, "value map identity v(b - a) = v f(b)")
+    _check_gap(root, b, fb.value(), precision, "value map identity v(b - a) = v f(b)")
     return clip_accuracy(root, precision), cert
 
 

@@ -18,7 +18,6 @@ from .errors import PrecisionLossError, StallError
 from .values import Ball, Value, ValuedVector
 
 OUTCOME_CONVERGED = "converged-at-precision"
-OUTCOME_EXACT_ZERO = "exact-zero"
 OUTCOME_STALLED = "stalled"
 
 _MAX_STEPS = 100_000  # defensive cap; grids make real runs far shorter
@@ -100,21 +99,16 @@ def newton_drive(
     def cert(outcome, final):
         return LiftCertificate(tuple(steps), final, uniqueness_ball, outcome)
 
-    if r.is_zero_mod_precision():
-        if r.precision_cap() < precision:
-            raise PrecisionLossError(
-                f"residual vanishes modulo {r.precision_cap()} but certification "
-                f"at {precision} was requested; supply wider inputs")
-        return y, cert(OUTCOME_EXACT_ZERO, r.precision_cap())
-    if r.value() >= precision:
-        return y, cert(OUTCOME_CONVERGED, r.value())
-
     for _ in range(_MAX_STEPS):
+        # a residual that vanishes modulo its cap has that cap as its value:
+        # at or past ``precision`` it converged, short of it it is refused
+        before = r.value()
+        if before >= precision:
+            return y, cert(OUTCOME_CONVERGED, before)
         if r.is_zero_mod_precision():
             raise PrecisionLossError(
                 f"residual vanished modulo {r.precision_cap()} short of the "
                 f"requested {precision}; supply wider inputs")
-        before = r.value()
         c = companion_solve(y, r)
         y_next = y + c
         r_next = target - f(y_next)
@@ -136,10 +130,6 @@ def newton_drive(
         if on_step is not None:
             on_step(y, y_next)
         y, r = y_next, r_next
-        # a residual that vanished modulo a cap below ``precision`` has a
-        # value of only that cap; the check at the top of the loop refuses it
-        if after >= precision:
-            return y, cert(OUTCOME_CONVERGED, after)
     raise StallError(
         f"no convergence within {_MAX_STEPS} steps (precision {precision})",
         certificate=cert(OUTCOME_STALLED, r.value()),

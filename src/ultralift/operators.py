@@ -122,8 +122,7 @@ class OperatorFamily:
             vn = img_n.value()
             for i in range(n):
                 img = self.ops[i](a)
-                lhs = vals[i] + (img.precision_cap() if img.is_zero_mod_precision()
-                                 else img.value())
+                lhs = vals[i] + img.value()
                 if not lhs > vn:
                     raise HypothesisViolation(
                         f"v(e_{i}) + v(sigma_{i} a) > v(sigma_{n} a) fails",
@@ -202,8 +201,8 @@ def taylor_gap_check(f: MultiPoly, b: Sequence, y: Sequence, z: Sequence) -> Tay
         linear = term if linear is None else linear + term
     remainder = diff - linear
     bound = vs + min_move
-    rem_v = remainder.precision_cap() if remainder.is_zero_mod_precision() else remainder.value()
-    diff_v = diff.precision_cap() if diff.is_zero_mod_precision() else diff.value()
+    rem_v = remainder.value()
+    diff_v = diff.value()
     all_zero = all(m.is_zero_mod_precision() for m in moves)
     undecided = (not all_zero
                  and ((remainder.is_zero_mod_precision() and rem_v <= bound)
@@ -330,8 +329,7 @@ def solve_dominant(F: OperatorPoly, b, e, precision, *, rng=None,
             f"v(d_n) = {vdn} is not the minimal derivative value "
             f"{value_min(finite)}")
     sigma_n_e = F.family.ops[n](e)
-    v_target = vdn + (sigma_n_e.precision_cap() if sigma_n_e.is_zero_mod_precision()
-                      else sigma_n_e.value())
+    v_target = vdn + sigma_n_e.value()
     fb = F.eval(b)
     if not (fb.is_zero_mod_precision() or fb.value() >= v_target):
         raise HypothesisViolation(
@@ -393,8 +391,7 @@ def solve_rosenlicht(F: OperatorPoly, b, precision, *, e=None, rng=None,
                 f"{fi.value()} < {bound}", index=idx,
                 value=str(fi.value()), bound=str(bound))
     sigma_n_e = fam.ops[n](e)
-    v_target = vdn + (sigma_n_e.precision_cap() if sigma_n_e.is_zero_mod_precision()
-                      else sigma_n_e.value())
+    v_target = vdn + sigma_n_e.value()
     fb = F.eval(b)
     if not (fb.is_zero_mod_precision() or fb.value() >= v_target):
         raise HypothesisViolation(
@@ -414,7 +411,7 @@ def solve_rosenlicht(F: OperatorPoly, b, precision, *, e=None, rng=None,
         diff = F.poly.eval(yv) - F.poly.eval(zv)
         rem = diff - d_n * move_n
         bound = (d_n * move_n).value()
-        rem_v = rem.precision_cap() if rem.is_zero_mod_precision() else rem.value()
+        rem_v = rem.value()
         if not rem_v > bound:
             raise HypothesisViolation(
                 f"remainder law v(f(y)-f(z)-d_n(y_n-z_n)) > v(d_n(y_n-z_n)) "

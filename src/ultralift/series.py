@@ -36,7 +36,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-from .errors import ParseError, PrecisionLossError, UsageError
+from .errors import ParseError, PrecisionLossError, ResourceCapError, UsageError
 from .fftower import FFTower, FFTowerElem, tower
 from .values import Value
 
@@ -135,9 +135,10 @@ def _convolve(ka, xa, kb, xb, n) -> dict:
 class TowerField:
     """Coefficient field tag for the F_p tower (desk-scale F_p^alg)."""
 
-    def __init__(self, p: int, tower_: FFTower | None = None):
+    def __init__(self, p: int, tower_: FFTower | None = None, level_cap: int | None = None):
         self.p = p
         self.tower = tower_ or tower(p)
+        self.level_cap = level_cap
         self.name = f"f{p}"
         self.char = p
 
@@ -197,6 +198,9 @@ class TowerField:
                 raise ParseError(f"coefficient is over p={p}, ground over p={self.p}")
             if lvl < 1:
                 raise ParseError(f"tower level must be at least 1 in {text!r}")
+            if self.level_cap is not None and lvl > self.level_cap:
+                raise ResourceCapError(
+                    f"F_{p}^{lvl} in {text!r} lies above --tower-cap {self.level_cap}")
             return self.tower.elem(lvl, digits)
         try:
             return self.tower.from_int(int(text))
@@ -219,13 +223,13 @@ class TowerField:
 FieldTag = Union[RationalField, TowerField]
 
 
-def field_by_name(name: str) -> FieldTag:
+def field_by_name(name: str, level_cap: int | None = None) -> FieldTag:
     name = name.lower()
     if name in ("q", "qq", "rational"):
         return RationalField()
     m = re.fullmatch(r"f(\d+)", name)
     if m:
-        return TowerField(int(m.group(1)))
+        return TowerField(int(m.group(1)), level_cap=level_cap)
     raise ParseError(f"unknown coefficient field {name!r}")
 
 

@@ -142,38 +142,45 @@ def subspace_from_series(elems: Sequence[TruncatedSeries], lo: int, hi: int,
     return _subspace(p, lo, hi, [_sparse(_series_window_vector(a, lo, hi)) for a in elems])
 
 
-def image_window(f: AdditivePoly, window: Tuple[int, int], *,
-                 input_slack: Optional[int] = None,
-                 cell_bound: int = 200_000) -> TruncatedSubspace:
+_CELL_BOUND = 200_000  # generators x exponents of one image echelon
+
+
+def input_range(p: int, degree: int, window: Tuple[int, int]) -> Tuple[int, int]:
+    """(g_lo, order) for an additive polynomial with top term X^(p^degree)
+    on the window [lo, hi): ``image_window`` spans the images of t^g for
+    g >= g_lo, 2 (hi - lo) + p^degree below lo so that leading terms that
+    cancel below lo still reach the window; each image is known up to hi
+    when the coefficients are known to ``order``."""
+    lo, hi = window
+    if hi <= lo:
+        raise UsageError("empty window")
+    g_lo = lo - 2 * (hi - lo) - p**degree
+    return g_lo, max(hi - g_lo, hi - g_lo * p**degree)
+
+
+def image_window(f: AdditivePoly, window: Tuple[int, int]) -> TruncatedSubspace:
     """The F_p-span of f over inputs whose images can meet the window,
     reduced to the window [lo, hi).
 
     Generators are the images of the unit monomials t^g; g runs from
-    lo - slack up to the first exponent whose image lies entirely above
-    the window (image valuations are monotone in g).  Combinations whose
-    leading terms cancel below lo are handled by echelonizing over an
-    extended exponent range before restricting.
+    ``input_range``'s g_lo up to the first exponent whose image lies
+    entirely above the window (image valuations are monotone in g).
+    Combinations whose leading terms cancel below lo are handled by
+    echelonizing over an extended exponent range before restricting.
     """
     lo, hi = window
-    if hi <= lo:
-        raise UsageError("empty window")
+    g, _ = input_range(f.p, len(f.coeffs) - 1, window)
     if any(c.denom != 1 for c in f.coeffs):
         raise UsageError("windowed subgroups live on the integer grid")
     p = f.p
-    J = len(f.coeffs) - 1
-    vals = []
-    for j, c in enumerate(f.coeffs):
-        if not c.is_zero_mod_precision():
-            vals.append((j, c.value().amount))
+    vals = [(j, c.value().amount) for j, c in enumerate(f.coeffs)
+            if not c.is_zero_mod_precision()]
     if not vals:
         raise UsageError("zero additive polynomial")
 
     def image_value(g: int) -> Fraction:
         return min(vc + g * p**j for j, vc in vals)
 
-    slack = input_slack if input_slack is not None else 2 * (hi - lo) + p**J
-    g_lo = lo - slack
-    g = g_lo
     gens = []
     while image_value(g) < hi:
         gens.append(g)
@@ -181,7 +188,7 @@ def image_window(f: AdditivePoly, window: Tuple[int, int], *,
     if not gens:
         return TruncatedSubspace(p, lo, hi, ())
     floor = int(min(image_value(g) for g in gens))
-    if (hi - floor) * len(gens) > cell_bound:
+    if (hi - floor) * len(gens) > _CELL_BOUND:
         raise ResourceCapError(
             f"window too large: {len(gens)} generators over {hi - floor} exponents")
 

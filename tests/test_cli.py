@@ -7,9 +7,11 @@ import pytest
 
 from ultralift import cli, diff_fields, hensel
 from ultralift.errors import StallError
+from ultralift.fftower import FFTower
 from ultralift.lifting import LiftCertificate
 from ultralift.padics import TruncatedPAdic, parse_padic
 from ultralift.series import TruncatedSeries
+from ultralift.values import ValuedVector
 
 
 def run_cli(capsys, *argv):
@@ -78,9 +80,6 @@ def test_boundary_hypothesis_exits_2(capsys):
     pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
                   "--point", "1", "--precision", "1/0"],
                  "bad --precision", id="precision-over-zero"),
-    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
-                  "--point", "1", "--headroom", "1/0"],
-                 "bad --headroom", id="headroom-over-zero"),
     pytest.param(["ode", "--ground", "rosenlicht:1:12", "--nvars", "2", "--r", "1/0",
                   "--poly", "1*X0^2", "--target", "1*t^(2) + O(t^(12))"],
                  "bad --r", id="r-over-zero"),
@@ -113,6 +112,9 @@ def test_boundary_hypothesis_exits_2(capsys):
                   "--tower-cap", "q"], "--tower-cap", id="tower-cap-not-integer"),
     pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
                   "--point", "1", "--bogus", "1"], "unrecognized", id="unknown-option"),
+    pytest.param(["lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1", "--headroom", "8"], "unrecognized",
+                 id="headroom-removed"),
     pytest.param(["subgroup", "--ground", "series:f2:1:20", "--addpoly", "0;1",
                   "--window", "-5:0"], "--window", id="window-read-as-option"),
     # the p of a p-adic ground must be prime
@@ -157,6 +159,24 @@ def test_tower_cap_exits_70(capsys):
                            "--target", "1*t^(1) + O(t^(8))",
                            "--tower-cap", "1")
     assert code == 70
+
+
+def test_tower_cap_refuses_a_literal_above_it(capsys, monkeypatch):
+    # the level-24 literal is refused by name before any modulus search
+    real = FFTower.modulus
+    levels = []
+
+    def watched(self, m):
+        levels.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(FFTower, "modulus", watched)
+    code, out, _ = run_cli(capsys, "dsolve", "--ground", "vdfield:2:12",
+                           "--tower-cap", "8",
+                           "--target=(1)@2^24*t^(1) + O(t^(12))")
+    assert code == 70
+    assert "--tower-cap 8" in out
+    assert 24 not in levels
 
 
 def test_unbounded_modulus_search_exits_70(capsys):
@@ -248,18 +268,6 @@ def test_pinv_lift_command(capsys):
     assert code == 0 and "reverified: True" in out
 
 
-def test_headroom_does_not_change_certified_digits(capsys):
-    outs = []
-    for headroom in ("6", "12"):
-        code, out, _ = run_cli(capsys, "lift1d", "--ground", "padic:3:12",
-                               "--poly", "1*X0^2 + -7", "--point", "1",
-                               "--headroom", headroom)
-        assert code == 0
-        outs.append(next(l for l in out.splitlines()
-                         if l.startswith("solution:")))
-    assert outs[0] == outs[1]
-
-
 def test_stated_truncation_is_not_fabricated_past(capsys):
     # asking for more precision than the literal states must exit 70
     code, _, _ = run_cli(capsys, "invert-series", "--ground", "series:q:1:12",
@@ -349,6 +357,8 @@ def _solution(out):
     (2, 40, 2, 17, 1), (2, 800, 2, 17, 1),
     # cube root of 35 from 2: v f(b) = 3, v f'(b) = 1
     (3, 25, 3, 35, 2), (3, 200, 3, 35, 2),
+    # the same with 2 digits: v f(b) = 3 shows only on the padded start
+    (3, 2, 3, 35, 2),
 ])
 def test_non_unit_slope_exact_inputs_exit_0(capsys, p, n, k, a, point):
     code, out, _ = run_cli(capsys, "lift1d", "--ground", f"padic:{p}:{n}",
@@ -379,11 +389,39 @@ def test_inexact_coefficient_is_not_padded(capsys, extra, expected):
     assert code == expected
 
 
-# starts whose residual is already past the requested precision 12: the
-# value identity can only be read up to precision - v(slope)
+# exact inputs asked for more digits than the ground states: literals are
+# read at the requested precision
 @pytest.mark.parametrize("argv", [
+    pytest.param(("pinv-lift", "--ground", "padic:3:12", "--poly", "1*X0 + -9",
+                  "--point", "0", "--pseudo-inverse", "1"), id="pinv-lift"),
+    pytest.param(("implicit", "--ground", "padic:3:12", "--poly", "1*X1^2 + -1*X0 + -1",
+                  "--point", "0;1", "--target", "9"), id="implicit"),
+    pytest.param(("dhensel", "--ground", "vdfield:2:10", "--nvars", "2", "--poly",
+                  "1*X1^2 + 1*X1 + -1*{1*t^(2) + O(t^(30))}", "--point", "0"),
+                 id="dhensel"),
+])
+def test_exact_inputs_past_ground_precision_exit_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--precision", "30")
+    assert code == 0 and "reverified: True" in out
+
+
+def test_subgroup_exact_coefficients_cover_the_window(capsys):
+    # X^4 reaches the window from t^-16 on, so its coefficients are read
+    # to O(t^70)
+    code, out, _ = run_cli(capsys, "subgroup", "--ground", "series:f2:1:12",
+                           "--addpoly", "0;0;1", "--window", "0:6")
+    assert code == 0
+    assert "image 0 pivots: [0, 4]" in out
+
+
+# starts whose residual is already at or past the requested precision 12:
+# the value identity can only be read up to precision - v(slope).  4400419
+# has 14 digits, so it needs a 14-digit ground to keep v f(b) = 14.
+@pytest.mark.parametrize("argv", [
+    pytest.param(("lift1d", "--ground", "padic:3:14", "--precision", "12",
+                  "--poly", "1*X0^2 + -7", "--point", "4400419"), id="lift1d-vfb-14"),
     pytest.param(("lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
-                  "--point", "4400419"), id="lift1d-vfb-14"),
+                  "--point", "382550"), id="lift1d-vfb-15"),
     pytest.param(("lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
                   "--point", "148891"), id="lift1d-vfb-12"),
     pytest.param(("liftnd", "--ground", "padic:3:12", "--poly", "1*X0 + -4782969",
@@ -397,9 +435,30 @@ def test_start_past_precision_exits_0(capsys, argv):
     assert code == 0 and "reverified: True" in out
 
 
+# a start whose stated cap does not fix v f(b) past 2 v(s) for every lift
+# is checked as given: padding it with zeros would decide the hypothesis
+# on digits the input never gave
+@pytest.mark.parametrize("argv", [
+    # cap 2 <= v f'(b) = 3: the padded 3 has v f = 7 > 6, but f(b) is
+    # known only modulo 3^4 (the lift 12 has v f = 5)
+    pytest.param(("lift1d", "--ground", "padic:3:12", "--poly", "1*X0^3 + -2214",
+                  "--point", "0,1+O(3^2)"), id="lift1d-cap-2"),
+    # cap 3 <= 2 v det J = 4: the padded 0 has v f = 5 > 4, but the lift
+    # 27 has v f = 3
+    pytest.param(("liftnd", "--ground", "padic:3:12", "--poly", "1*X0 + -243",
+                  "--poly", "9*X1", "--point", "0,0,0+O(3^3);0"), id="liftnd-cap-3"),
+])
+def test_coarse_start_is_not_padded_exits_70(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 70
+    assert "cannot decide" in out
+
+
 @pytest.mark.parametrize("point, digit", [
-    ("4400419", 11),  # v f(b) = 14: the last certified digit is still checked
+    ("4400419", 11),  # read modulo 3^12 as 148891, v f(b) = 12: the last
+                      # certified digit is still checked
     ("1", 0),         # v f(b) = 1: the identity is exact below the precision
+    ("382550", 11),   # v f(b) = 15: f(b) vanishes modulo the working cap 13
 ])
 def test_root_one_digit_off_exits_2(capsys, monkeypatch, point, digit):
     real = hensel.newton_drive
@@ -413,3 +472,21 @@ def test_root_one_digit_off_exits_2(capsys, monkeypatch, point, digit):
                            "--poly", "1*X0^2 + -7", "--point", point)
     assert code == 2
     assert "value identity" in out
+
+
+def test_pinv_lift_root_one_digit_off_exits_2(capsys, monkeypatch):
+    # f(b) vanishes modulo its cap: v(b - a) = v f(b) is still read up to
+    # the precision
+    real = hensel.newton_drive
+
+    def one_digit_off(*args, **kwargs):
+        root, cert = real(*args, **kwargs)
+        shift = TruncatedPAdic.from_rational(3, 3**11, 12)
+        return ValuedVector([e + shift for e in root]), cert
+
+    monkeypatch.setattr(hensel, "newton_drive", one_digit_off)
+    code, out, _ = run_cli(capsys, "pinv-lift", "--ground", "padic:3:12",
+                           "--poly", "1*X0 + -9", "--point", "9",
+                           "--pseudo-inverse", "1")
+    assert code == 2
+    assert "value map identity" in out

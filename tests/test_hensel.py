@@ -56,7 +56,7 @@ def test_newton_1d_root_start_zero_steps():
     f = parse_poly("1*X0", 1)
     root, cert = newton_1d(f, padic(3, 0, 12), 12)
     assert root.is_zero_mod_precision()
-    assert cert.outcome == "exact-zero"
+    assert cert.outcome == "converged-at-precision"
 
 
 def test_newton_1d_b_already_root():
@@ -348,7 +348,7 @@ def test_series_invert_zero_target():
     z = q_series({}, 10)
     y, cert = series_invert([1, 1], z, 10)
     assert y.is_zero_mod_precision()
-    assert cert.outcome == "exact-zero"
+    assert cert.outcome == "converged-at-precision"
 
 
 def test_series_invert_rejects_zero_linear_coefficient():

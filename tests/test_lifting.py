@@ -29,7 +29,7 @@ def test_exact_zero_outcome():
     start = padic(3, 5, 10)
     _, cert = newton_drive(lambda y: y * y, lambda _y, r: r, start,
                            start * start, Value(10))
-    assert cert.outcome == "exact-zero"
+    assert cert.outcome == "converged-at-precision"
     assert cert.steps == ()
 
 

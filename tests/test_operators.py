@@ -147,7 +147,7 @@ def test_solve_wcm_already_root(rng):
     co = WeakCoeffMap(q_series({}, 12))
     root, cert = solve_wcm(F, co, _rational_residue_solver,
                            q_series({}, 12), 10, rng=rng)
-    assert cert.outcome == "exact-zero" and root.is_zero_mod_precision()
+    assert cert.outcome == "converged-at-precision" and root.is_zero_mod_precision()
 
 
 def test_solve_wcm_correction_value_bound(rng):
@@ -243,7 +243,7 @@ def test_solve_dominant_already_root(rng):
     fam = _integration_family(ros, 1, e)
     F = OperatorPoly(MultiPoly(2, {(0, 1): 1}), fam)
     root, cert = solve_dominant(F, ros.zero(), e, 12, rng=rng)
-    assert cert.outcome == "exact-zero"
+    assert cert.outcome == "converged-at-precision"
 
 
 def test_solve_rosenlicht_linear_matches_dominant(rng):
