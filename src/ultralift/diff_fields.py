@@ -28,10 +28,10 @@ from .errors import (HypothesisViolation, NoAsymptoticIntegral,
 from .fftower import additive_poly_solve, tower
 from .lifting import clip_accuracy, newton_drive
 from .operators import OperatorFamily, OperatorPoly, solve_dominant, solve_rosenlicht, solve_wcm
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, unit_index
 from .series import (RationalField, TowerField, TruncatedSeries, WeakCoeffMap,
                      _frac, _series, random_series)
-from .values import Ball, Value, _as_value
+from .values import Ball, Value, _as_value, require
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +293,6 @@ def integrate_iterative(inst: RosenlichtInstance, a_prime: TruncatedSeries,
     )
 
 
-def _coeff_value(c) -> Value:
-    if isinstance(c, TruncatedSeries):
-        return c.value()
-    if isinstance(c, (int, Fraction)):
-        return Value(None) if c == 0 else Value(0)
-    raise UsageError(f"unexpected coefficient {c!r}")
-
-
 def ode_solve(inst: RosenlichtInstance, g: MultiPoly, c: TruncatedSeries,
               r, precision, *, route: str = "dominant", start=None,
               rng=None, samples: int = 6) -> Tuple:
@@ -330,22 +322,17 @@ def ode_solve(inst: RosenlichtInstance, g: MultiPoly, c: TruncatedSeries,
     # but stronger than the iteration needs on the ball where the solution
     # lives; quadratic-and-higher monomials with O-coefficients are already
     # contracting there.  The rosenlicht route re-imposes the literal bound
-    # through its exact higher-derivative check.
-    for idx, coeff in g.terms.items():
-        if not any(idx):
-            raise UsageError("constant terms of the equation belong in c")
-        cv = _coeff_value(coeff)
-        if cv < Value(0):
-            raise HypothesisViolation(
-                f"coefficient at {idx} has negative value {cv}", index=idx)
-        if sum(idx) == 1 and idx[n] == 1 and not cv > Value(0):
-            raise HypothesisViolation(
-                "the linear X_n coefficient of g must have positive value",
-                index=idx)
+    # through its exact higher-derivative check.  That every coefficient
+    # lies in the valuation ring the solvers check on f = g + c - X_n.
+    if any(not any(idx) for idx in g.terms):
+        raise UsageError("constant terms of the equation belong in c")
+    linear = unit_index(n + 1, n)
+    if linear in g.terms:
+        # read a rational coefficient as a series, where a unit fails
+        require(c.zero_like() + g.terms[linear], ">", 0,
+                f"v(g coefficient at {linear}) > 0")
+    require(c, ">=", r + n - 1, "v(c) >= r + n - 1")
     vc = c.value()
-    if not (c.is_zero_mod_precision() or vc >= Value(r + n - 1)):
-        raise HypothesisViolation(
-            f"need v(c) >= r + n - 1 = {r + n - 1}, got {vc}")
 
     f = g + MultiPoly.constant(n + 1, c) - MultiPoly.variable(n + 1, n)
 

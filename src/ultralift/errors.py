@@ -5,7 +5,8 @@ Exit-code mapping used by the CLI:
   HypothesisViolation          -> 2
   StallError                   -> 3
   PrecisionLossError, ResourceCapError -> 70 (a printed solution that fails
-    its round-trip re-verification raises PrecisionLossError)
+    its round-trip re-verification raises PrecisionLossError, and so does a
+    solver hypothesis that the inputs' truncation orders cannot decide)
 """
 
 

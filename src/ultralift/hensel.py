@@ -11,6 +11,15 @@ for every lift of b; the coefficients and the target keep their stated
 caps, so every residual target - f(y) certifies against the inputs.
 ``pseudo_inverse_lift`` keeps M° frozen: the paper certifies it, like the
 differential solvers, in a pseudo-linear setting with no determinant.
+
+Every value inequality a solver checks on its data goes through
+``values.require``; only the sampled ``witness_pseudo_linear``, the
+predicate ``pseudo_inverse_pair_ok`` and the value identities of
+``_check_gap`` stay outside it.  A hypothesis on the inputs
+is decided strictly: one that their caps cannot settle raises
+PrecisionLossError rather than passing.  A post-condition on a computed
+quantity is checked against min(bound, its cap), since a root known to 10
+digits cannot show a bound of 12.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .lifting import clip_accuracy, newton_drive
 from .matrices import ValuedMatrix, jacobian
 from .polynomials import MultiPoly, _zero_like
 from .sampling import sample_near
-from .values import (Ball, Value, ValuedVector, _as_value, value_at_least,
+from .values import (Ball, Value, ValuedVector, _as_value, require,
                      value_exceeds, value_min)
 
 
@@ -86,12 +95,12 @@ class PseudoInversePair:
                 "has value <= 0")
 
 
-def _require_ring_coeffs(f: MultiPoly, what: str):
+def require_ring_coeffs(f: MultiPoly, what: str):
+    """Every coefficient of f lies in the valuation ring (a rational
+    coefficient is a unit or zero)."""
     for idx, c in f.terms.items():
-        if hasattr(c, "value") and not value_at_least(c, 0):
-            raise HypothesisViolation(
-                f"{what} has a coefficient of negative value at {idx}",
-                index=idx, value=str(c.value()))
+        if hasattr(c, "value"):
+            require(c, ">=", 0, f"v({what} coefficient at {idx}) >= 0", index=idx)
 
 
 def _pad(x, cap: Value):
@@ -125,10 +134,8 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
     precision = _as_value(precision)
     if f.nvars != 1:
         raise UsageError("newton_1d expects a univariate polynomial")
-    _require_ring_coeffs(f, "f")
-    if not value_at_least(b, 0):
-        raise HypothesisViolation("the start must lie in the valuation ring",
-                                  vb=str(b.value()))
+    require_ring_coeffs(f, "f")
+    require(b, ">=", 0, "v(b) >= 0")
     df = f.partial(0)
     s = df.eval([b])
     if s.is_zero_mod_precision():
@@ -141,10 +148,7 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
     # lifts of b differ in f by value >= vs + cap(b), past 2 vs when
     # cap(b) > vs: only then may the padded start decide the hypothesis
     fb = f.eval([start if b.precision_cap() > vs else b])
-    if not value_exceeds(fb, 2 * vs):
-        raise HypothesisViolation(
-            f"need v f(b) > 2 v f'(b): got {fb.value()} <= {2 * vs}",
-            vfb=str(fb.value()), two_vs=str(2 * vs))
+    require(fb, ">", 2 * vs, "v f(b) > 2 v f'(b)")
     root, cert = newton_drive(
         lambda y: f.eval([y]),
         lambda y, r: _pad(r / df.eval([y]), work),
@@ -160,10 +164,6 @@ def newton_1d(f: MultiPoly, b, precision) -> tuple:
     return clip_accuracy(root, precision), cert
 
 
-def _as_vector(x) -> ValuedVector:
-    return x if isinstance(x, ValuedVector) else ValuedVector(x)
-
-
 def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
     """Multi-dimensional Newton lifting via the adjugate.
 
@@ -173,15 +173,13 @@ def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
     """
     precision = _as_value(precision)
     fs = list(fs)
-    b = _as_vector(b)
+    b = ValuedVector(b)
     n = len(fs)
     if n != len(b):
         raise UsageError("system size and point size differ")
     for f in fs:
-        _require_ring_coeffs(f, "system entry")
-    if not value_at_least(b, 0):
-        raise HypothesisViolation("the start must lie in the valuation ring",
-                                  vb=str(b.value()))
+        require_ring_coeffs(f, "system entry")
+    require(b, ">=", 0, "v(b) >= 0")
     J = jacobian(fs, list(b))
     s = J.determinant()
     if s.is_zero_mod_precision():
@@ -203,10 +201,7 @@ def newton_nd(fs: Sequence[MultiPoly], b, precision) -> tuple:
     # J is integral, so lifts of b differ in f by value >= cap(b): the
     # padded start may decide the hypothesis only when cap(b) > 2 v(s)
     fb = fmap(start if b.precision_cap() > 2 * vs else b)
-    if not value_exceeds(fb, 2 * vs):
-        raise HypothesisViolation(
-            f"need v f(b) > 2 v det J_f(b): got {fb.value()} <= {2 * vs}",
-            vfb=str(fb.value()), two_vs=str(2 * vs))
+    require(fb, ">", 2 * vs, "v f(b) > 2 v det J_f(b)")
     target = ValuedVector([_zero_like(x) for x in start])
     root, cert = newton_drive(fmap, companion, start, target, precision,
                               uniqueness_ball=Ball(b, vs, strict=True))
@@ -231,7 +226,7 @@ def implicit_fn(fs: Sequence[MultiPoly], z, x_new, precision) -> tuple:
     if any(f.nvars != m + n for f in fs):
         raise UsageError(f"system must live in {m}+{n} variables")
     for f in fs:
-        _require_ring_coeffs(f, "system entry")
+        require_ring_coeffs(f, "system entry")
     fz = [f.eval(z) for f in fs]
     for k, v in enumerate(fz):
         if not v.is_zero_mod_precision():
@@ -244,18 +239,13 @@ def implicit_fn(fs: Sequence[MultiPoly], z, x_new, precision) -> tuple:
     vdet = det.value()
     shift = value_min([(xo - xn).value() for xo, xn in zip(z[:m], x_new)])
     for i, (xo, xn) in enumerate(zip(z[:m], x_new)):
-        if not value_exceeds(xo - xn, 2 * vdet):
-            raise HypothesisViolation(
-                f"need v(x_{i} - x'_{i}) > 2 v det J(z): got "
-                f"{(xo - xn).value()} <= {2 * vdet}", index=i)
+        require(xo - xn, ">", 2 * vdet, f"v(x_{i} - x'_{i}) > 2 v det J(z)", index=i)
     gs = [f.substitute({j: x_new[j] for j in range(m)}) for f in fs]
     y0 = ValuedVector(z[m:])
     roots, cert = newton_nd(gs, y0, precision)
     moved = roots - y0
-    if not (moved.is_zero_mod_precision() or moved.value() >= shift - vdet):
-        raise HypothesisViolation(
-            f"bound min v(y - y') >= min v(x - x') - v det J(z) failed: "
-            f"{moved.value()} < {shift - vdet}")
+    require(moved, ">=", min(shift - vdet, moved.precision_cap()),
+            "post min v(y - y') >= min v(x - x') - v det J(z)")
     return roots, cert
 
 
@@ -277,22 +267,19 @@ def pseudo_inverse_lift(fs: Sequence[MultiPoly], b, Mo: ValuedMatrix,
     maximal-ideal ball around b and satisfies v(b - a) = v f(b)."""
     precision = _as_value(precision)
     fs = list(fs)
-    b = _as_vector(b)
+    b = ValuedVector(b)
     if isinstance(Mo, PseudoInversePair):
         Mo = Mo.Mo
     for f in fs:
-        _require_ring_coeffs(f, "system entry")
-    if not value_at_least(b, 0):
-        raise HypothesisViolation("the start must lie in the valuation ring")
-    for row in Mo.rows:
-        for e in row:
-            if not value_at_least(e, 0):
-                raise HypothesisViolation("pseudo-inverse entries must have value >= 0")
+        require_ring_coeffs(f, "system entry")
+    require(b, ">=", 0, "v(b) >= 0")
+    for i, row in enumerate(Mo.rows):
+        for j, e in enumerate(row):
+            require(e, ">=", 0, f"v(M°[{i}][{j}]) >= 0")
     J = jacobian(fs, list(b))
     PseudoInversePair(J, Mo)  # validates the pair invariant
     fb = ValuedVector([f.eval(list(b)) for f in fs])
-    if not (fb.is_zero_mod_precision() or fb.value() > 0):
-        raise HypothesisViolation(f"need v f(b) > 0: got {fb.value()}")
+    require(fb, ">", 0, "v f(b) > 0")
 
     def fmap(y: ValuedVector) -> ValuedVector:
         return ValuedVector([f.eval(list(y)) for f in fs])
@@ -322,9 +309,7 @@ def series_invert(coeffs: Sequence, z_prime, precision) -> tuple:
     c1 = field.coerce(coeffs[0])
     if field.is_zero(c1):
         raise HypothesisViolation("the linear coefficient c_1 vanishes")
-    if not (z_prime.is_zero_mod_precision() or z_prime.value() > Value(0)):
-        raise HypothesisViolation(
-            f"target must lie in the valuation ideal: v = {z_prime.value()}")
+    require(z_prime, ">", 0, "v(z') > 0")
 
     f = MultiPoly(1, {(i,): field.coerce(c) for i, c in enumerate(coeffs, start=1)})
     df = f.partial(0)

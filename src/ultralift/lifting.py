@@ -63,10 +63,7 @@ def clip_accuracy(x, order: Value):
         return x
     if isinstance(x, ValuedVector):
         return ValuedVector([clip_accuracy(e, order) for e in x])
-    amt = order.amount
-    if amt.denominator == 1 and not hasattr(x, "trunc"):
-        return x.truncate(int(amt))
-    return x.truncate(amt)
+    return x.truncate(order.amount)
 
 
 def newton_drive(

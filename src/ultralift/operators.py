@@ -6,6 +6,12 @@ growth, dominance, the Rosenlicht inequalities) are TRUSTED but SAMPLED:
 they are checked on randomly drawn elements plus adversarial variants
 (leading monomials, cancelling sums); a failed sample aborts the run with
 the counterexample.
+
+The value inequalities on the run's own data (coefficients, start, v f(b),
+the higher-derivative bounds, the remainder law, the post-conditions) go
+through ``values.require``, under the rule stated in ``hensel``: decided
+strictly on inputs and iterates, and against min(bound, cap) on the moved
+root.
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import HypothesisViolation, UsageError
+from .hensel import require_ring_coeffs
 from .lifting import clip_accuracy, newton_drive
 from .polynomials import MultiPoly, _zero_like
 from .series import TruncatedSeries, WeakCoeffMap
-from .values import Ball, Value, _as_value, value_at_least, value_exceeds, value_min
+from .values import (Ball, Value, _as_value, require, value_at_least, value_exceeds,
+                     value_min)
 
 
 @dataclass
@@ -222,12 +230,8 @@ def _entry_checks(F: OperatorPoly, b, rng, samples):
     if rng is None:
         rng = random.Random(0)
     F.family.check_additivity(rng, samples)
-    if not (b.is_zero_mod_precision() or value_at_least(b, 0)):
-        raise HypothesisViolation(f"start point has negative value {b.value()}")
-    for idx, c in F.poly.terms.items():
-        if hasattr(c, "value") and not (c.is_zero_mod_precision() or value_at_least(c, 0)):
-            raise HypothesisViolation(
-                f"polynomial coefficient at {idx} has negative value", index=idx)
+    require(b, ">=", 0, "v(b) >= 0")
+    require_ring_coeffs(F.poly, "polynomial")
     return rng
 
 
@@ -253,11 +257,7 @@ def solve_wcm(F: OperatorPoly, co: WeakCoeffMap, residue_solver: Callable,
     if not finite:
         raise HypothesisViolation("all derivatives d_i vanish modulo precision")
     vs = value_min(finite)
-    fb = F.eval(b)
-    if not (fb.is_zero_mod_precision() or fb.value() > 2 * vs):
-        raise HypothesisViolation(
-            f"need v f^sigma(b) > 2 v(s): got {fb.value()} <= {2 * vs}",
-            vfb=str(fb.value()), two_vs=str(2 * vs))
+    require(F.eval(b), ">", 2 * vs, "v f^sigma(b) > 2 v(s)")
     cs = [co.co(d.shift(-vs.amount)) if (not d.is_zero_mod_precision()
                                          and d.value() == vs)
           else co.field.zero
@@ -276,14 +276,11 @@ def solve_wcm(F: OperatorPoly, co: WeakCoeffMap, residue_solver: Callable,
         alpha = r.value() - vs
         return co.lift(bar, alpha.amount, trunc=r.precision_cap().amount)
 
-    ball = Ball(b.zero_like(), vs, strict=True).translate(b)
     root, cert = newton_drive(
-        F.eval, companion, b, _zero_like(b), precision, uniqueness_ball=ball,
-        on_step=on_step)
-    if not (root - b).is_zero_mod_precision():
-        if not (root - b).value() > vs:
-            raise HypothesisViolation(
-                f"post v(a - b) > v(s) failed: {(root - b).value()} <= {vs}")
+        F.eval, companion, b, _zero_like(b), precision,
+        uniqueness_ball=Ball(b, vs, strict=True), on_step=on_step)
+    moved = root - b
+    require(moved, ">", min(vs, moved.precision_cap()), "post v(a - b) > v(s)")
     return clip_accuracy(root, precision), cert
 
 
@@ -330,11 +327,7 @@ def solve_dominant(F: OperatorPoly, b, e, precision, *, rng=None,
             f"{value_min(finite)}")
     sigma_n_e = F.family.ops[n](e)
     v_target = vdn + sigma_n_e.value()
-    fb = F.eval(b)
-    if not (fb.is_zero_mod_precision() or fb.value() >= v_target):
-        raise HypothesisViolation(
-            f"need v f^sigma(b) >= v(d_n) + v(sigma_n e): got {fb.value()} < {v_target}",
-            vfb=str(fb.value()), bound=str(v_target))
+    require(F.eval(b), ">=", v_target, "v f^sigma(b) >= v(d_n) + v(sigma_n e)")
 
     hook = F.family.inverse_hook
 
@@ -345,13 +338,7 @@ def solve_dominant(F: OperatorPoly, b, e, precision, *, rng=None,
     root, cert = newton_drive(
         F.eval, companion, b, _zero_like(b), precision,
         uniqueness_ball=ball)
-    moved = root - b
-    if not moved.is_zero_mod_precision():
-        image = F.family.ops[n](moved)
-        if not image.is_zero_mod_precision():
-            if sigma_n_e.is_zero_mod_precision() or not image.value() >= sigma_n_e.value():
-                raise HypothesisViolation(
-                    f"post v(sigma_n(a - b)) >= v(sigma_n e) failed")
+    _require_post_image(F, root - b, sigma_n_e)
     return root, cert
 
 
@@ -383,19 +370,12 @@ def solve_rosenlicht(F: OperatorPoly, b, precision, *, e=None, rng=None,
     witnesses = list(fam.rosenlicht_witnesses)
     for idx in F.poly.multi_indices():
         k = min(j for j, ij in enumerate(idx) if ij)
-        fi = F.poly.hasse(idx).eval(pt)
-        bound = vdn + witnesses[k].value()
-        if not fi.is_zero_mod_precision() and not fi.value() >= bound:
-            raise HypothesisViolation(
-                f"higher-derivative bound fails at multi-index {idx}: "
-                f"{fi.value()} < {bound}", index=idx,
-                value=str(fi.value()), bound=str(bound))
+        require(F.poly.hasse(idx).eval(pt), ">=", vdn + witnesses[k].value(),
+                f"higher-derivative bound v f^[i](b) >= v(d_n) + v(e_{k}) at "
+                f"multi-index i = {idx}", index=idx)
     sigma_n_e = fam.ops[n](e)
     v_target = vdn + sigma_n_e.value()
-    fb = F.eval(b)
-    if not (fb.is_zero_mod_precision() or fb.value() >= v_target):
-        raise HypothesisViolation(
-            f"need v f^sigma(b) >= v(d_n) + v(sigma_n e): got {fb.value()} < {v_target}")
+    require(F.eval(b), ">=", v_target, "v f^sigma(b) >= v(d_n) + v(sigma_n e)")
 
     hook = fam.inverse_hook
 
@@ -408,23 +388,20 @@ def solve_rosenlicht(F: OperatorPoly, b, precision, *, e=None, rng=None,
         move_n = yv[n] - zv[n]
         if move_n.is_zero_mod_precision():
             return
-        diff = F.poly.eval(yv) - F.poly.eval(zv)
-        rem = diff - d_n * move_n
-        bound = (d_n * move_n).value()
-        rem_v = rem.value()
-        if not rem_v > bound:
-            raise HypothesisViolation(
-                f"remainder law v(f(y)-f(z)-d_n(y_n-z_n)) > v(d_n(y_n-z_n)) "
-                f"failed on an iterate pair: {rem_v} <= {bound}")
+        linear = d_n * move_n
+        require(F.poly.eval(yv) - F.poly.eval(zv) - linear, ">", linear.value(),
+                "remainder law v(f(y) - f(z) - d_n(y_n - z_n)) > v(d_n(y_n - z_n))")
 
     root, cert = newton_drive(
         F.eval, companion, b, _zero_like(b), precision,
         uniqueness_ball=fam.domain_ball, on_step=remainder_law)
-    moved = root - b
-    if not moved.is_zero_mod_precision():
-        image = fam.ops[n](moved)
-        if not image.is_zero_mod_precision() and not sigma_n_e.is_zero_mod_precision():
-            if not image.value() >= sigma_n_e.value():
-                raise HypothesisViolation(
-                    "post v(sigma_n(a - b)) >= v(sigma_n e) failed")
+    _require_post_image(F, root - b, sigma_n_e)
     return root, cert
+
+
+def _require_post_image(F: OperatorPoly, moved, sigma_n_e):
+    """Post-condition of both dominant solvers: the move a - b stays in the
+    hypothesis ball, v(sigma_n(a - b)) >= v(sigma_n e)."""
+    image = F.family.ops[-1](moved)
+    require(image, ">=", min(sigma_n_e.value(), image.precision_cap()),
+            "post v(sigma_n(a - b)) >= v(sigma_n e)")

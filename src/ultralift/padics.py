@@ -74,8 +74,10 @@ class TruncatedPAdic:
     def from_int(self, n: int) -> "TruncatedPAdic":
         return TruncatedPAdic(self.p, n, self.precision)
 
-    def truncate(self, precision: int) -> "TruncatedPAdic":
-        return TruncatedPAdic(self.p, self.residue, min(self.precision, precision))
+    def truncate(self, precision) -> "TruncatedPAdic":
+        """Known to p^ceil(precision): a value of at least 5/2 is one of 3."""
+        return TruncatedPAdic(self.p, self.residue,
+                              min(self.precision, math.ceil(precision)))
 
     def pad(self, precision) -> "TruncatedPAdic":
         """The same residue, read modulo p^precision: digits past the old

@@ -9,11 +9,12 @@ valuation in the package returns one.  Larger value means closer to zero
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import PrecisionLossError, UsageError
+from .errors import HypothesisViolation, PrecisionLossError, UsageError
 
 
 @functools.total_ordering
@@ -153,30 +154,43 @@ class ValuedVector:
         return f"ValuedVector({list(self.entries)!r})"
 
 
+_HOLDS = {">": operator.gt, ">=": operator.ge}
+_FAILS = {">": "<=", ">=": "<"}
+
+
+def _decide(x, op: str, bound, claim: Optional[str] = None) -> bool:
+    """Decide v(x) op bound.  An x that vanishes modulo its cap is only
+    known to have value >= cap; when that does not settle the question,
+    raise instead of guessing."""
+    bound = _as_value(bound)
+    if not x.is_zero_mod_precision():
+        return _HOLDS[op](x.value(), bound)
+    cap = x.precision_cap()
+    if _HOLDS[op](cap, bound):
+        return True
+    claim = claim or f"v(x) {op} {bound}"
+    raise PrecisionLossError(
+        f"cannot decide {claim}: it vanishes modulo precision {cap} (bound {bound})")
+
+
 def value_at_least(x, alpha) -> bool:
     """Decide v(x) >= alpha, raising when the truncation order cannot tell."""
-    alpha = _as_value(alpha)
-    if x.is_zero_mod_precision():
-        cap = x.precision_cap()
-        if cap >= alpha:
-            return True
-        raise PrecisionLossError(
-            f"cannot decide v(x) >= {alpha}: x vanishes modulo precision {cap}"
-        )
-    return x.value() >= alpha
+    return _decide(x, ">=", alpha)
 
 
 def value_exceeds(x, alpha) -> bool:
     """Decide v(x) > alpha, raising when the truncation order cannot tell."""
-    alpha = _as_value(alpha)
-    if x.is_zero_mod_precision():
-        cap = x.precision_cap()
-        if cap > alpha:
-            return True
-        raise PrecisionLossError(
-            f"cannot decide v(x) > {alpha}: x vanishes modulo precision {cap}"
-        )
-    return x.value() > alpha
+    return _decide(x, ">", alpha)
+
+
+def require(x, op: str, bound, claim: str, **details) -> None:
+    """The one check for a valuation hypothesis v(x) op bound, with ``op``
+    ``">"`` or ``">="``: a false inequality raises HypothesisViolation
+    (carrying ``details``), one the truncation order cannot decide raises
+    PrecisionLossError.  ``claim`` names the hypothesis in both messages."""
+    if not _decide(x, op, bound, claim):
+        raise HypothesisViolation(
+            f"{claim}: got {x.value()} {_FAILS[op]} {bound}", **details)
 
 
 @dataclass(frozen=True)
@@ -194,9 +208,6 @@ class Ball:
         if self.strict:
             return value_exceeds(diff, self.radius)
         return value_at_least(diff, self.radius)
-
-    def translate(self, b) -> "Ball":
-        return Ball(self.center + b, self.radius, self.strict)
 
     def __str__(self):
         op = ">" if self.strict else ">="

@@ -1,6 +1,7 @@
 """CLI surface: documented examples, exit codes, determinism, round-trip."""
 
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -490,3 +491,47 @@ def test_pinv_lift_root_one_digit_off_exits_2(capsys, monkeypatch):
                            "--pseudo-inverse", "1")
     assert code == 2
     assert "value map identity" in out
+
+
+# a hypothesis on the inputs that their caps cannot settle is refused,
+# never passed: f(b), the right-hand side and c each vanish modulo 2 or 1
+@pytest.mark.parametrize("argv, claim", [
+    pytest.param(("lift1d", "--ground", "padic:3:12", "--poly", "3*X0 + -1*{0,0+O(3^2)}",
+                  "--point", "0", "--precision", "2"), "v f(b) > 2 v f'(b)", id="lift1d"),
+    pytest.param(("dhensel", "--ground", "vdfield:2:12", "--nvars", "2", "--poly",
+                  "{1*t^(1) + O(t^(12))}*X1 + -1*{O(t^(2))}", "--point", "0",
+                  "--precision", "2"), "v f^sigma(b) > 2 v(s)", id="dhensel"),
+    pytest.param(("ode", "--ground", "rosenlicht:1:12", "--nvars", "2", "--r", "2",
+                  "--poly", "1*X0^2", "--target", "O(t^(1))", "--precision", "1"),
+                 "v(c) >= r + n - 1", id="ode"),
+])
+def test_undecidable_hypothesis_exits_70(capsys, argv, claim):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 70
+    assert f"cannot decide {claim}" in out
+
+
+# a fractional precision is certified to its ceiling on the p-adic grid
+@pytest.mark.parametrize("argv, solution", [
+    pytest.param(("lift1d", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--point", "1", "--precision", "5/2"), "1,1,1+O(3^3)", id="lift1d"),
+    pytest.param(("liftnd", "--ground", "padic:3:12", "--poly", "1*X0^2 + -7",
+                  "--poly", "1*X1^2 + -1*X0", "--point", "1;1", "--precision", "7/2"),
+                 "1,1,1,0+O(3^4) ; 1,2,1,0+O(3^4)", id="liftnd"),
+    pytest.param(("lift1d", "--ground", "padic:3:5/2", "--poly", "1*X0^2 + -7",
+                  "--point", "1"), "1,1,1+O(3^3)", id="fractional-ground"),
+])
+def test_fractional_padic_precision_exits_0(capsys, argv, solution):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "reverified: True" in out
+    assert _solution(out) == f"solution: {solution}"
+
+
+def test_demo_script_runs(capsys):
+    runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "demo_lifts.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "root: 1,1,1,0,2,0,0,2,1,1,2,0+O(3^12)" in out
+    assert "inverse: 1*t^(1) + -1*t^(2) + 2*t^(3) + -5*t^(4) + 14*t^(5)" in out
+    assert "solution: 1/3*t^(3) + 1/63*t^(7)" in out
+    assert out.count("(converged-at-precision)") == 4 and "FAIL" not in out

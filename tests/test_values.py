@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ultralift.errors import UsageError
+from conftest import q_series
+from ultralift.errors import HypothesisViolation, PrecisionLossError, UsageError
 from ultralift.padics import TruncatedPAdic, random_padic
 from ultralift.values import (INFINITY, Ball, Value, ValuedVector,
-                              ball_relation, value_min)
+                              ball_relation, require, value_min)
 
 rationals = st.fractions(min_value=-50, max_value=50)
 values = st.one_of(st.just(INFINITY), rationals.map(Value))
@@ -94,7 +95,7 @@ def test_ball_membership_commutes_with_translation(rng):
         shift = random_padic(3, 8, rng)
         z = random_padic(3, 8, rng)
         ball = Ball(c, Value(rng.randrange(0, 6)))
-        assert ball.contains(z) == ball.translate(shift).contains(z + shift)
+        assert ball.contains(z) == Ball(c + shift, ball.radius).contains(z + shift)
 
 
 def test_ultrametric_derived_rules(rng):
@@ -118,3 +119,20 @@ def test_vector_value_is_minimum(rng):
         entries = [random_padic(3, 9, rng) for _ in range(4)]
         vec = ValuedVector(entries)
         assert vec.value() == value_min([e.value() for e in entries])
+
+
+# 9 = 3^2 known to 3^6, and 0 known only to 3^2; t^2 known to O(t^6), and 0
+# known only to O(t^2): below the cap each value is exact, at it the vanishing
+# element can no longer be told apart from one of larger value
+@pytest.mark.parametrize("x, zero", [
+    (TruncatedPAdic(3, 9, 6), TruncatedPAdic(3, 0, 2)),
+    (q_series({2: 1}, 6), q_series({}, 2)),
+], ids=["padic", "series"])
+@pytest.mark.parametrize("op, holds_at, fails_at", [(">", 1, 2), (">=", 2, 3)])
+def test_require_decides_or_raises(x, zero, op, holds_at, fails_at):
+    require(x, op, holds_at, "claim")
+    require(zero, op, holds_at, "claim")
+    with pytest.raises(HypothesisViolation, match=f"claim: got 2 {'<=' if op == '>' else '<'} {fails_at}"):
+        require(x, op, fails_at, "claim", index=0)
+    with pytest.raises(PrecisionLossError, match="cannot decide claim"):
+        require(zero, op, fails_at, "claim")
