@@ -1,20 +1,23 @@
 """Command-line surface: every solver behind reproducible text I/O.
 
-``COMMANDS`` maps each command to its ground kinds and a row.  A row parses
-the command's options, calls its solver through the solver's module (so a
-rebound module attribute is seen) and returns the solution entries, the
-certificate or None, and the residual values as a function of entries.
-``run`` is the one path around the rows: ground check, header, solution line
-and certificate, then the round trip: the printed solution is parsed back and
-the residual values are recomputed from it; one short of the requested
-precision exits 70.  ``subgroup`` has no residual and writes its own lines.
+``COMMANDS`` maps each command to its ground kinds and a row, and it is the
+only list of commands: the one flat parser takes the command as a positional
+that options may precede or follow, and ``--help`` lists every command and
+option (there is no per-command help).  A row parses the command's options,
+calls its solver through the solver's module (so a rebound module attribute
+is seen) and returns the solution entries, the certificate or None, and the
+residual values as a function of entries.  ``run`` is the one path around
+the rows: ground check, header, solution line and certificate, then the
+round trip: the printed solution is parsed back and the residual values are
+recomputed from it; one short of the requested precision exits 70.
+``subgroup`` has no residual and writes its own lines.
 
 Exit codes: 0 success, 2 hypothesis violation (with the offending
 inequality), 3 stall (with the certificate prefix), 64 parse, usage and
-syntax errors, 70 resource caps and precision loss (a failed round trip
-counts as one).  Identical invocations produce byte-identical reports:
-moduli tables are deterministic, sampled checks take their seed from
---seed, and iteration order is fixed.
+syntax errors (``ultralift: ...``), 70 resource caps and precision loss (a
+failed round trip counts as one).  Identical invocations produce
+byte-identical reports: moduli tables are deterministic, sampled checks
+take their seed from --seed, and iteration order is fixed.
 """
 
 from __future__ import annotations
@@ -300,8 +303,9 @@ def _subgroup(job: Job, rep: Report):
     polys = []
     for spec in job.need("addpolys"):
         texts = _split_list(spec)
-        order = subgroups.input_range(fld.p, len(texts) - 1, (lo, hi))[1]
-        coeffs = tuple(job.element(t, order) for t in texts)
+        # the range from the values at the run's order, then re-read to it
+        need = subgroups.input_range(fld.p, job.elements(spec), (lo, hi))[1]
+        coeffs = tuple(job.element(t, max(job.order, need)) for t in texts)
         polys.append(subgroups.AdditivePoly(fld.p, coeffs))
     spaces = [subgroups.image_window(f, (lo, hi)) for f in polys]
     for i, s in enumerate(spaces):
@@ -377,7 +381,7 @@ def run(job: Job) -> Report:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Syntax errors raise ParseError (exit 64), in subparsers too."""
+    """Syntax errors raise ParseError (exit 64)."""
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
@@ -387,29 +391,24 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="ultralift",
         description="finite-precision Hensel/Newton lifting over valued fields")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--ground", required=True)
-        sp.add_argument("--precision", default=None)
-        sp.add_argument("--poly", action="append", default=None,
-                        dest="polys")
-        sp.add_argument("--point", default=None)
-        sp.add_argument("--target", default=None)
-        sp.add_argument("--coeffs", default=None)
-        sp.add_argument("--pseudo-inverse", dest="pseudo_inverse", default=None)
-        sp.add_argument("--r", default=None)
-        sp.add_argument("--route", default=None)
-        sp.add_argument("--nvars", default=None)
-        sp.add_argument("--addpoly", action="append", default=None,
-                        dest="addpolys")
-        sp.add_argument("--window", default=None)
-        sp.add_argument("--approx", default=None)
-        sp.add_argument("--report", choices=("text", "structured"),
-                        default="text")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=6)
-        sp.add_argument("--tower-cap", dest="tower_cap", type=int, default=64)
+    ap.add_argument("command", choices=tuple(COMMANDS))
+    ap.add_argument("--ground", required=True)
+    ap.add_argument("--precision", default=None)
+    ap.add_argument("--poly", action="append", default=None, dest="polys")
+    ap.add_argument("--point", default=None)
+    ap.add_argument("--target", default=None)
+    ap.add_argument("--coeffs", default=None)
+    ap.add_argument("--pseudo-inverse", dest="pseudo_inverse", default=None)
+    ap.add_argument("--r", default=None)
+    ap.add_argument("--route", default=None)
+    ap.add_argument("--nvars", default=None)
+    ap.add_argument("--addpoly", action="append", default=None, dest="addpolys")
+    ap.add_argument("--window", default=None)
+    ap.add_argument("--approx", default=None)
+    ap.add_argument("--report", choices=("text", "structured"), default="text")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--samples", type=int, default=6)
+    ap.add_argument("--tower-cap", dest="tower_cap", type=int, default=64)
     return ap
 
 

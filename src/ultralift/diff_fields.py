@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 from .errors import (HypothesisViolation, NoAsymptoticIntegral,
                      PrecisionLossError, ResourceCapError, UsageError)
-from .fftower import additive_poly_solve, tower
+from .fftower import additive_poly_solve
 from .lifting import clip_accuracy, newton_drive
 from .operators import OperatorFamily, OperatorPoly, solve_dominant, solve_rosenlicht, solve_wcm
 from .polynomials import MultiPoly, unit_index

@@ -13,6 +13,7 @@ image rows have one or two nonzeros, so the cost follows the nonzeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -145,17 +146,37 @@ def subspace_from_series(elems: Sequence[TruncatedSeries], lo: int, hi: int,
 _CELL_BOUND = 200_000  # generators x exponents of one image echelon
 
 
-def input_range(p: int, degree: int, window: Tuple[int, int]) -> Tuple[int, int]:
-    """(g_lo, order) for an additive polynomial with top term X^(p^degree)
-    on the window [lo, hi): ``image_window`` spans the images of t^g for
-    g >= g_lo, 2 (hi - lo) + p^degree below lo so that leading terms that
-    cancel below lo still reach the window; each image is known up to hi
-    when the coefficients are known to ``order``."""
+def _terms(p: int, coeffs: Sequence[TruncatedSeries]) -> List[Tuple[int, Fraction]]:
+    """(p^j, v(a_j)) for the coefficients that do not vanish modulo their
+    caps; the others count as zero, as in ``AdditivePoly.apply``."""
+    return [(p**j, c.value().amount) for j, c in enumerate(coeffs)
+            if not c.is_zero_mod_precision()]
+
+
+def input_range(p: int, coeffs: Sequence[TruncatedSeries],
+                window: Tuple[int, int]) -> Tuple[int, int]:
+    """(g_lo, order) for sum_j coeffs[j] X^(p^j) on the window [lo, hi),
+    read off the Newton polygon.
+
+    Let a_d be the top coefficient that does not vanish modulo its cap
+    (vanishing ones count as zero, as in ``AdditivePoly.apply``).  An input
+    of value g below every tie g (p^d - p^j) = v(a_j) - v(a_d) with a lower
+    term has image value exactly v(a_d) + p^d g, which is below lo when
+    g < (lo - v(a_d)) / p^d.  So every input whose image reaches the window
+    has value at least g_lo = min(ceil((lo - v(a_d)) / p^d),
+    min_j floor((v(a_j) - v(a_d)) / (p^d - p^j))), and the image of each
+    t^g with g >= g_lo is known up to hi when the coefficients are known
+    to ``order``."""
     lo, hi = window
     if hi <= lo:
         raise UsageError("empty window")
-    g_lo = lo - 2 * (hi - lo) - p**degree
-    return g_lo, max(hi - g_lo, hi - g_lo * p**degree)
+    vals = _terms(p, coeffs)
+    if not vals:
+        raise UsageError("zero additive polynomial")
+    top, v_top = vals[-1]
+    g_lo = min([math.ceil((lo - v_top) / top)]
+               + [math.floor((v - v_top) / (top - q)) for q, v in vals[:-1]])
+    return g_lo, max(hi - g_lo, hi - g_lo * p**(len(coeffs) - 1))
 
 
 def image_window(f: AdditivePoly, window: Tuple[int, int]) -> TruncatedSubspace:
@@ -169,17 +190,14 @@ def image_window(f: AdditivePoly, window: Tuple[int, int]) -> TruncatedSubspace:
     echelonizing over an extended exponent range before restricting.
     """
     lo, hi = window
-    g, _ = input_range(f.p, len(f.coeffs) - 1, window)
+    g, _ = input_range(f.p, f.coeffs, window)
     if any(c.denom != 1 for c in f.coeffs):
         raise UsageError("windowed subgroups live on the integer grid")
     p = f.p
-    vals = [(j, c.value().amount) for j, c in enumerate(f.coeffs)
-            if not c.is_zero_mod_precision()]
-    if not vals:
-        raise UsageError("zero additive polynomial")
+    vals = _terms(p, f.coeffs)
 
     def image_value(g: int) -> Fraction:
-        return min(vc + g * p**j for j, vc in vals)
+        return min(vc + g * q for q, vc in vals)
 
     gens = []
     while image_value(g) < hi:
@@ -193,10 +211,12 @@ def image_window(f: AdditivePoly, window: Tuple[int, int]) -> TruncatedSubspace:
             f"window too large: {len(gens)} generators over {hi - floor} exponents")
 
     field = f.coeffs[0].field
+    # t^g is exact: carry it far enough that no a_j t^(g p^j) is cut below hi
+    reach = max(math.ceil((hi - vc) / q) for q, vc in vals)
     rows = []
     for g in gens:
         unit = TruncatedSeries(field, 1, {Fraction(g): 1},
-                               max(Fraction(hi), Fraction(g) + 1))
+                               Fraction(max(reach, g + 1)))
         img = f.apply(unit)
         if img.trunc < hi:
             raise PrecisionLossError(

@@ -69,3 +69,16 @@ def test_residual_monotonicity_recorded():
                            start, target, Value(12))
     values = [s.residual_before for s in cert.steps] + [cert.final_residual]
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_zero_correction_stalls_at_step_0():
+    # residual values must strictly increase: a step that gains nothing
+    # stalls at once instead of being accepted
+    start = padic(3, 1, 10)
+    target = padic(3, 7, 10)
+    with pytest.raises(StallError, match="at step 0") as exc:
+        newton_drive(lambda y: y * y, lambda _y, r: r.zero_like(),
+                     start, target, Value(10))
+    steps = exc.value.certificate.steps
+    assert [(s.residual_before, s.residual_after) for s in steps] == [
+        (Value(1), Value(1))]

@@ -5,15 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import F2
+from ultralift import cli
 from ultralift.fftower import _echelon
-from ultralift.series import TruncatedSeries
+from ultralift.series import TowerField, TruncatedSeries
 from ultralift.subgroups import (AdditivePoly, frobenius_power, image_window,
-                                 optimal_approx, pseudo_direct_check,
-                                 subspace_from_series)
+                                 input_range, optimal_approx,
+                                 pseudo_direct_check, subspace_from_series)
 from ultralift.values import Value
 
 
@@ -332,3 +333,82 @@ def test_sparse_echelon_on_image_shaped_rows(p):
             row[i] = rng.randrange(1, p)
         rows.append(row)
     assert sparse_echelon_dense(rows, p, 289) == dense_echelon(rows, p)
+
+
+# -- the input range read off the Newton polygon ------------------------------
+
+
+def reference_window(p, coeffs, window, start):
+    """The reduced echelon basis on [lo, hi) of the image of
+    sum_j coeffs[j] X^(p^j) (exact exponent dicts) over the generators t^g
+    from ``start`` up to the first whose every term lies at or above hi."""
+    lo, hi = window
+    terms = [(e, c, p**j) for j, a in enumerate(coeffs) for e, c in a.items()]
+    floor = min(e + start * q for e, _, q in terms)
+    rows = []
+    g = start
+    while min(e + g * q for e, _, q in terms) < hi:
+        row = {}
+        for e, c, q in terms:
+            if e + g * q < hi:
+                k = e + g * q - floor
+                row[k] = (row.get(k, 0) + c) % p
+        rows.append({k: x for k, x in row.items() if x})
+        g += 1
+    kept = []
+    for row in _echelon(rows, p):
+        if min(row) >= lo - floor:
+            vec = [0] * (hi - lo)
+            for k, x in row.items():
+                vec[k - (lo - floor)] = x
+            kept.append(vec)
+    return dense_echelon(kept, p)
+
+
+@st.composite
+def additive_cases(draw):
+    p = draw(st.sampled_from((2, 3)))
+    degree = draw(st.integers(0, 2))
+    coeffs = [draw(st.dictionaries(st.integers(-3, 6), st.integers(1, p - 1),
+                                   max_size=3))
+              for _ in range(degree + 1)]
+    lo = draw(st.integers(-6, 6))
+    return p, coeffs, (lo, lo + draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(additive_cases())
+def test_image_window_matches_a_reference_starting_40_lower(case):
+    p, coeffs, window = case
+    assume(any(coeffs))
+    fld = TowerField(p)
+    f = AdditivePoly(p, tuple(
+        TruncatedSeries(fld, 1, {Fraction(e): c for e, c in a.items()},
+                        Fraction(1000)) for a in coeffs))
+    g_lo, _ = input_range(p, f.coeffs, window)
+    got = dense_echelon(list(image_window(f, window).basis), p)
+    assert got == reference_window(p, coeffs, window, g_lo - 40)
+
+
+def run_subgroup(capsys, *argv):
+    code = cli.main(["subgroup", *argv])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_subgroup_image_from_an_input_below_the_degree_slack(capsys):
+    # P = (t^17 + t^19) X^2 maps t^(-6) to t^5 + t^7: pivot 5 is in the
+    # image, so t^5 is approximated past the window top
+    code, lines = run_subgroup(capsys, "--ground", "series:f2:1:40",
+                               "--addpoly", "0;1*t^(17) + 1*t^(19) + O(t^(200))",
+                               "--window", "4:7", "--approx", "1*t^(5) + O(t^(60))")
+    assert code == 0
+    assert "image 0 pivots: [5]" in lines
+    assert "achieved value: >= 7" in lines
+
+
+def test_subgroup_high_degree_needs_one_generator(capsys):
+    # X^(3^8) on [0, 6): only t^0 has an image below 6
+    code, lines = run_subgroup(capsys, "--ground", "series:f3:1:12",
+                               "--addpoly", "0;0;0;0;0;0;0;0;1", "--window", "0:6")
+    assert code == 0
+    assert "image 0 pivots: [0]" in lines
