@@ -4,13 +4,16 @@ theorem, pseudo-inverse lifting, and compositional inversion of series.
 Every solver builds its uniqueness ball at the point b as given.
 ``newton_1d``, ``newton_nd`` (and ``implicit_fn``) and ``series_invert``
 refresh the slope at each iterate y (f'(y), or J(y) with its determinant
-and adjugate), so N digits take O(log N) steps.  The iterate is only a
-candidate, carried at the working precision precision + 2 v(s) + 1, where
-``newton_1d`` and ``newton_nd`` also read v f(b) when b's own cap fixes it
-for every lift of b; the coefficients and the target keep their stated
-caps, so every residual target - f(y) certifies against the inputs.
-``pseudo_inverse_lift`` keeps M° frozen: the paper certifies it, like the
-differential solvers, in a pseudo-linear setting with no determinant.
+and adjugate), and ``pseudo_inverse_lift`` carries its pseudo-inverse M
+along by one Newton–Schulz step M <- M - M(J(y)M - E) per iterate, so N
+digits take O(log N) steps.  The iterate is only a candidate, carried at
+the working precision precision + 2 v(s) + 1, where ``newton_1d`` and
+``newton_nd`` also read v f(b) when b's own cap fixes it for every lift
+of b; the coefficients and the target keep their stated caps, so every
+residual target - f(y) certifies against the inputs.
+``pseudo_inverse_lift`` stays determinant-free: the pair (J(b), M°) is
+checked at b as the paper states it, and no determinant or adjugate is
+formed.  Only the differential solvers keep their slope frozen.
 
 Every value inequality a solver checks on its data goes through
 ``values.require``; only the sampled ``witness_pseudo_linear``, the
@@ -262,9 +265,11 @@ def pseudo_inverse_pair_ok(M: ValuedMatrix, Mo: ValuedMatrix) -> bool:
 
 def pseudo_inverse_lift(fs: Sequence[MultiPoly], b, Mo: ValuedMatrix,
                         precision) -> tuple:
-    """Determinant-free lifting: iterate a <- a - M° f(a) where M° is a
-    pseudo-inverse of the Jacobian at b.  The unique zero sits on the
-    maximal-ideal ball around b and satisfies v(b - a) = v f(b)."""
+    """Determinant-free lifting: iterate a <- a - M f(a), where M starts
+    at M°, a pseudo-inverse of the Jacobian at b, and takes one
+    Newton–Schulz step M <- M - M(J(a)M - E) before each use.  The unique
+    zero sits on the maximal-ideal ball around b and satisfies
+    v(b - a) = v f(b)."""
     precision = _as_value(precision)
     fs = list(fs)
     b = ValuedVector(b)
@@ -284,11 +289,21 @@ def pseudo_inverse_lift(fs: Sequence[MultiPoly], b, Mo: ValuedMatrix,
     def fmap(y: ValuedVector) -> ValuedVector:
         return ValuedVector([f.eval(list(y)) for f in fs])
 
+    E = Mo.identity_like()
+    M = Mo
+
+    def companion(y: ValuedVector, r: ValuedVector) -> ValuedVector:
+        # one Newton–Schulz step at y: v(y - b) > 0 keeps J(y) ≡ J(b) mod
+        # the maximal ideal, so v(J(y)M - E) > 0 and its value doubles
+        nonlocal M
+        M = M - M * (jacobian(fs, list(y)) * M - E)
+        return M.apply(r)
+
     target = ValuedVector([_zero_like(x) for x in b])
     ball = Ball(b, Value(0), strict=True)
     root, cert = newton_drive(
         fmap,
-        lambda _y, r: Mo.apply(r),
+        companion,
         b,
         target,
         precision,

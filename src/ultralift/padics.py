@@ -44,12 +44,19 @@ class TruncatedPAdic:
 
     def value(self) -> Value:
         """v_p of the residue; the precision N when zero modulo p^N."""
-        if self.residue == 0:
+        r, p = self.residue, self.p
+        if r == 0:
             return Value(Fraction(self.precision))
-        r, k = self.residue, 0
-        while r % self.p == 0:
-            r //= self.p
-            k += 1
+        # square p while p^(2^i) divides r, then divide out in binary
+        powers = []
+        while r % p == 0:
+            powers.append(p)
+            p *= p
+        k = 0
+        for i in reversed(range(len(powers))):
+            if r % powers[i] == 0:
+                r //= powers[i]
+                k += 1 << i
         return Value(Fraction(k))
 
     def precision_cap(self) -> Value:

@@ -47,6 +47,8 @@ class AdditivePoly:
                 raise UsageError("coefficients must live over the declared F_p")
 
     def apply(self, a: TruncatedSeries) -> TruncatedSeries:
+        """Coefficients that vanish modulo their caps are skipped;
+        ``image_window`` refuses a window their unknown terms reach."""
         acc = None
         for j, c in enumerate(self.coeffs):
             if c.is_zero_mod_precision():
@@ -148,7 +150,8 @@ _CELL_BOUND = 200_000  # generators x exponents of one image echelon
 
 def _terms(p: int, coeffs: Sequence[TruncatedSeries]) -> List[Tuple[int, Fraction]]:
     """(p^j, v(a_j)) for the coefficients that do not vanish modulo their
-    caps; the others count as zero, as in ``AdditivePoly.apply``."""
+    caps.  A vanishing one counts as zero: ``image_window`` refuses every
+    window its unknown terms reach."""
     return [(p**j, c.value().amount) for j, c in enumerate(coeffs)
             if not c.is_zero_mod_precision()]
 
@@ -187,13 +190,21 @@ def image_window(f: AdditivePoly, window: Tuple[int, int]) -> TruncatedSubspace:
     ``input_range``'s g_lo up to the first exponent whose image lies
     entirely above the window (image valuations are monotone in g).
     Combinations whose leading terms cancel below lo are handled by
-    echelonizing over an extended exponent range before restricting.
+    echelonizing over an extended exponent range before restricting.  A
+    coefficient a_j that vanishes modulo its cap has unknown terms from
+    t^(cap + p^j g) on; when they reach the window for g = g_lo, the
+    image is not determined there and the run is refused.
     """
     lo, hi = window
     g, _ = input_range(f.p, f.coeffs, window)
     if any(c.denom != 1 for c in f.coeffs):
         raise UsageError("windowed subgroups live on the integer grid")
     p = f.p
+    for j, c in enumerate(f.coeffs):
+        if c.is_zero_mod_precision() and c.trunc + p**j * g < hi:
+            raise PrecisionLossError(
+                f"coefficient {j} vanishes modulo O(t^{c.trunc}): its unknown "
+                f"terms reach the window from t^{c.trunc + p**j * g} on")
     vals = _terms(p, f.coeffs)
 
     def image_value(g: int) -> Fraction:

@@ -288,6 +288,29 @@ def test_pinv_pair_value_preservation(rng):
         assert (Mo.apply(y)).value() == y.value()
 
 
+@pytest.mark.parametrize("p, n, corner", [
+    *((p, n, 0) for p in (2, 3, 5, 7) for n in (12, 50, 200, 800)),
+    (3, 800, 3),  # M° = [[1, 3], [0, 1]], a pseudo-inverse other than E
+])
+def test_pinv_lift_steps_are_logarithmic(p, n, corner):
+    # X0 + p X1^2 - a0, X1 + p X0^2 - a1: J(b) = E mod p
+    rng = random.Random(p * 1000 + n + corner)
+    b0, b1 = rng.randrange(p**3), rng.randrange(p**3)
+    a0 = b0 + p * b1 * b1 + p * rng.randrange(1, p**4)
+    a1 = b1 + p * b0 * b0 + p * rng.randrange(1, p**4)
+    fs = [parse_poly(f"1*X0 + {p}*X1^2 + {-a0}", 2),
+          parse_poly(f"1*X1 + {p}*X0^2 + {-a1}", 2)]
+    b = ValuedVector([padic(p, b0, n), padic(p, b1, n)])
+    Mo = ValuedMatrix([[padic(p, 1, n), padic(p, corner, n)],
+                       [padic(p, 0, n), padic(p, 1, n)]])
+    assert pseudo_inverse_pair_ok(jacobian(fs, list(b)), Mo)
+    roots, cert = pseudo_inverse_lift(fs, b, Mo, n)
+    assert len(cert.steps) <= math.ceil(math.log2(n)) + 2
+    assert cert.monotone()
+    for f in fs:
+        assert f.eval(list(roots)).value() >= Value(n)
+
+
 def test_pinv_rejects_bad_pair():
     fs = [parse_poly("3*X0 + -9", 1)]  # Jacobian (3): 3*1 - 1 has value 0
     Mo = _identity_matrix(3, 1, 10)

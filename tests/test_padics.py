@@ -30,6 +30,30 @@ def test_value_of_prime_powers():
         assert TruncatedPAdic(3, 3**k, 9).value() == Value(k)
 
 
+def _digit_loop_value(x):
+    if x.residue == 0:
+        return x.precision
+    r, k = x.residue, 0
+    while r % x.p == 0:
+        r //= x.p
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("n", [1, 2, 13, 200, 12800])
+def test_value_matches_the_digit_loop(p, n):
+    # every valuation 0..n (p^n is the zero residue) up to n = 200; above,
+    # the powers of two and their neighbours, and the top of the range
+    ks = range(n + 1) if n <= 200 else sorted(
+        {2**i + d for i in range(13) for d in (-1, 0, 1)} | {n - 1, n})
+    for k in ks:
+        units = (1, p - 1, p + 1, 2 * p**3 + 1) if k < 64 else (p + 1,)
+        for unit in units:
+            x = TruncatedPAdic(p, p**k * unit, n)
+            assert x.value() == Value(_digit_loop_value(x)), (k, unit)
+
+
 def test_from_rational_rejects_p_in_denominator():
     with pytest.raises(UsageError):
         TruncatedPAdic.from_rational(3, Fraction(1, 3), 5)

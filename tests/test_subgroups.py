@@ -412,3 +412,17 @@ def test_subgroup_high_degree_needs_one_generator(capsys):
                                "--addpoly", "0;0;0;0;0;0;0;0;1", "--window", "0:6")
     assert code == 0
     assert "image 0 pivots: [0]" in lines
+
+
+def test_subgroup_refuses_a_vanishing_coefficient_whose_unknown_terms_reach_the_window(capsys):
+    # O(t^3) allows a_0 = t^3, whose term t^(3 + g) changes the basis on
+    # [0, 6); known past the window, the vanishing a_0 counts as zero
+    code, _ = run_subgroup(capsys, "--ground", "series:f2:1:20",
+                           "--addpoly", "O(t^(3));1", "--window", "0:6",
+                           "--report", "structured")
+    assert code == 70
+    for addpoly in ("O(t^(30));1", "0;1"):
+        code, lines = run_subgroup(capsys, "--ground", "series:f2:1:20",
+                                   "--addpoly", addpoly, "--window", "0:6")
+        assert code == 0
+        assert "image 0 pivots: [0, 2, 4]" in lines
